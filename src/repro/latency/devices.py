@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from ..model.spec import ModelSpec
-from .maccs import MaccEntry, model_macc_entries
+from ..model.spec import LayerSpec, ModelSpec, TensorShape
+from .maccs import MaccEntry, layer_maccs, model_macc_entries
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,34 @@ class DeviceProfile:
             base /= self.quantized_speedup
         return max(base, self.min_primitive_ms) + self.dispatch_overhead_ms
 
+    def layer_latency_ms(
+        self, layer: LayerSpec, in_shape: TensorShape, out_shape: TensorShape
+    ) -> float:
+        """Compute latency of one layer on this device (all its primitives)."""
+        return sum(
+            self.primitive_latency_ms(e)
+            for e in layer_maccs(layer, in_shape, out_shape)
+        )
+
     def model_latency_ms(self, spec: ModelSpec) -> float:
-        """Total compute latency of running ``spec`` on this device."""
-        return sum(self.primitive_latency_ms(e) for e in model_macc_entries(spec))
+        """Total compute latency of running ``spec`` on this device.
+
+        Memoized on the spec, once per profile: the serving path asks for
+        the same few tree-node specs on every request. The profile is
+        unhashable (it holds a dict), so the memo is keyed by ``id(self)``
+        and keeps ``self`` alive next to the total, so the id can never be
+        reused by another profile while the entry exists. Specs drop the
+        memo when pickled or copied (see ``ModelSpec.__getstate__``).
+        """
+        totals = spec._latency_ms
+        if totals is None:
+            totals = spec._latency_ms = {}
+        hit = totals.get(id(self))
+        if hit is not None:
+            return hit[1]
+        total = sum(self.primitive_latency_ms(e) for e in model_macc_entries(spec))
+        totals[id(self)] = (self, total)
+        return total
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,10 @@ class MaccEntry:
 
 
 def layer_maccs(
-    layer: LayerSpec, in_shape: TensorShape, out_shape: TensorShape
+    layer: LayerSpec,
+    in_shape: TensorShape,
+    out_shape: TensorShape,
+    layer_index: int = -1,
 ) -> List[MaccEntry]:
     """MACC entries contributed by one layer (may be several primitives)."""
     lt = layer.layer_type
@@ -76,25 +79,26 @@ def layer_maccs(
     # All remaining layer types contribute ~zero MACCs (Sec. V-B).
 
     return [
-        MaccEntry(layer_index=-1, kind=kind, kernel_size=k, maccs=m, bits=layer.bits)
+        MaccEntry(layer_index=layer_index, kind=kind, kernel_size=k, maccs=m, bits=layer.bits)
         for kind, k, m in entries
     ]
 
 
-def model_macc_entries(spec: ModelSpec) -> List[MaccEntry]:
-    """Per-primitive MACC entries for a whole model (layer indices filled)."""
-    entries: List[MaccEntry] = []
-    for i, layer in enumerate(spec.layers):
-        for entry in layer_maccs(layer, spec.input_shape_of(i), spec.output_shape_of(i)):
-            entries.append(
-                MaccEntry(
-                    layer_index=i,
-                    kind=entry.kind,
-                    kernel_size=entry.kernel_size,
-                    maccs=entry.maccs,
-                    bits=entry.bits,
-                )
+def model_macc_entries(spec: ModelSpec) -> Tuple[MaccEntry, ...]:
+    """Per-primitive MACC entries for a whole model (layer indices filled).
+
+    The entries depend only on the (immutable) spec, so they are computed
+    once and cached on it.
+    """
+    entries = spec._macc_entries
+    if entries is None:
+        entries = spec._macc_entries = tuple(
+            entry
+            for i, layer in enumerate(spec.layers)
+            for entry in layer_maccs(
+                layer, spec.input_shape_of(i), spec.output_shape_of(i), i
             )
+        )
     return entries
 
 

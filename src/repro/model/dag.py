@@ -27,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import networkx as nx
 
 from ..latency.compute import LatencyEstimator
-from ..latency.maccs import layer_maccs
+from ..latency.devices import DeviceProfile
 from .spec import LayerSpec, LayerType, TensorShape, infer_output_shape
 
 INPUT = "__input__"  #: pseudo-node representing the model input
@@ -120,17 +120,9 @@ class DagPartition:
         return self.edge_ms + self.transfer_ms + self.cloud_ms
 
 
-def _node_latency_ms(
-    dag: DagModel, node_id: str, estimator: LatencyEstimator, on_edge: bool
-) -> float:
-    device = estimator.edge if on_edge else estimator.cloud
-    return sum(
-        device.primitive_latency_ms(entry)
-        for entry in layer_maccs(
-            dag.layer(node_id),
-            dag.input_shape_of(node_id),
-            dag.output_shape_of(node_id),
-        )
+def _node_latency_ms(dag: DagModel, node_id: str, device: DeviceProfile) -> float:
+    return device.layer_latency_ms(
+        dag.layer(node_id), dag.input_shape_of(node_id), dag.output_shape_of(node_id)
     )
 
 
@@ -143,10 +135,10 @@ def evaluate_dag_partition(
     """Latency of an explicit edge/cloud node assignment."""
     cloud_nodes = frozenset(dag.layer_ids) - edge_nodes
     edge_ms = sum(
-        _node_latency_ms(dag, n, estimator, on_edge=True) for n in edge_nodes
+        _node_latency_ms(dag, n, estimator.edge) for n in edge_nodes
     )
     cloud_ms = sum(
-        _node_latency_ms(dag, n, estimator, on_edge=False) for n in cloud_nodes
+        _node_latency_ms(dag, n, estimator.cloud) for n in cloud_nodes
     )
     crossing: List[str] = []
     side = {INPUT: "edge"}
@@ -189,10 +181,10 @@ def dag_surgery(
     source, sink = "__s__", "__t__"
     for node in dag.layer_ids:
         graph.add_edge(
-            source, node, capacity=_node_latency_ms(dag, node, estimator, False)
+            source, node, capacity=_node_latency_ms(dag, node, estimator.cloud)
         )
         graph.add_edge(
-            node, sink, capacity=_node_latency_ms(dag, node, estimator, True)
+            node, sink, capacity=_node_latency_ms(dag, node, estimator.edge)
         )
     graph.add_edge(source, INPUT, capacity=float("inf"))
     for producer, consumer in dag.graph.edges:

@@ -24,7 +24,11 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from ..latency.devices import DeviceProfile
+    from ..latency.maccs import MaccEntry
 
 
 class LayerType(str, Enum):
@@ -276,6 +280,10 @@ class ModelSpec:
         self.input_shape = input_shape
         self.name = name
         self._fingerprint: Optional[str] = None  # computed lazily, then cached
+        # Latency-model caches, filled lazily by ``model_macc_entries`` and
+        # ``DeviceProfile.model_latency_ms``.
+        self._macc_entries: Optional[Tuple[MaccEntry, ...]] = None
+        self._latency_ms: Optional[Dict[int, Tuple[DeviceProfile, float]]] = None
         self._shapes: List[TensorShape] = [input_shape]
         for layer in self.layers:
             self._shapes.append(infer_output_shape(layer, self._shapes[-1]))
@@ -302,6 +310,11 @@ class ModelSpec:
 
     def __repr__(self) -> str:
         return f"ModelSpec({self.name!r}, {len(self.layers)} layers)"
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The latency memo is keyed by profile identity, which means nothing
+        # in another process (or after a copy): never let it travel.
+        return {**self.__dict__, "_latency_ms": None}
 
     # -- shapes ------------------------------------------------------------
     def input_shape_of(self, index: int) -> TensorShape:

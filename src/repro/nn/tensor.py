@@ -51,7 +51,9 @@ def as_tensor(value: ArrayLike) -> "Tensor":
 class Tensor:
     """A numpy array plus the tape bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "name", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -132,7 +134,16 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded tape."""
+        """Backpropagate from this tensor through the recorded tape.
+
+        The tape is consumed: every visited node drops its backward closure
+        and its parents once its gradient has been routed. The graph is then
+        freed by reference counting even while something only the cycle
+        collector can reclaim still holds the output (a loss or log-prob
+        kept in search records). A second ``backward()`` through the same
+        graph therefore stops at the consumed nodes and leaves leaf
+        gradients untouched; rebuild the graph to differentiate again.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -162,6 +173,8 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            node._backward = None
+            node._parents = ()
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

@@ -31,9 +31,6 @@ from typing import List, Optional, Tuple
 import networkx as nx
 
 from ..contracts import require_positive
-from ..latency.compute import LatencyEstimator
-from ..latency.maccs import layer_maccs
-from ..model.spec import ModelSpec
 from .context import CandidateResult, SearchContext
 from .plan import apply_compression_plan
 
@@ -44,16 +41,6 @@ class SurgeryResult:
 
     partition_index: int  # edge keeps layers [0, partition_index)
     result: CandidateResult
-
-
-def _layer_compute_ms(estimator: LatencyEstimator, spec: ModelSpec, index: int, edge: bool) -> float:
-    device = estimator.edge if edge else estimator.cloud
-    return sum(
-        device.primitive_latency_ms(entry)
-        for entry in layer_maccs(
-            spec[index], spec.input_shape_of(index), spec.output_shape_of(index)
-        )
-    )
 
 
 def dynamic_dnn_surgery(
@@ -69,8 +56,9 @@ def dynamic_dnn_surgery(
     n = len(spec)
 
     for i in range(n):
-        graph.add_edge(source, i, capacity=_layer_compute_ms(estimator, spec, i, edge=False))
-        graph.add_edge(i, sink, capacity=_layer_compute_ms(estimator, spec, i, edge=True))
+        shapes = (spec.input_shape_of(i), spec.output_shape_of(i))
+        graph.add_edge(source, i, capacity=estimator.cloud.layer_latency_ms(spec[i], *shapes))
+        graph.add_edge(i, sink, capacity=estimator.edge.layer_latency_ms(spec[i], *shapes))
     # Input arrives on the edge device: shipping the raw input costs its
     # transfer time, modeled by chaining the source to layer 0's data edge.
     transfer = estimator.transfer

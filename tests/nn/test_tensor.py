@@ -1,5 +1,8 @@
 """Unit tests for the autodiff tensor engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -276,3 +279,38 @@ class TestGraph:
         out.backward()
         assert a.grad is not None
         assert np.isfinite(a.grad).all()
+
+
+class TestTapeRelease:
+    """``backward()`` consumes the tape, so it is freed without the GC."""
+
+    def test_intermediates_die_by_refcount_and_grads_are_exact(self):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(4, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        gc.disable()
+        try:
+            hidden = (x @ w).tanh()
+            probe = weakref.ref(hidden)
+            loss = (hidden * hidden).sum()
+            # The loss is held by a reference cycle, as search records can
+            # hold log-probs; only the cycle collector could free it.
+            cycle = [loss]
+            cycle.append(cycle)
+            del hidden
+            loss.backward()
+            del loss, cycle
+            assert probe() is None
+        finally:
+            gc.enable()
+        h = np.tanh(x.data @ w.data)
+        np.testing.assert_allclose(w.grad, x.data.T @ (2 * h * (1 - h**2)))
+
+    def test_second_backward_leaves_leaf_gradients_untouched(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        first = a.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, first)
+        np.testing.assert_allclose(first, [2.0, 4.0])
