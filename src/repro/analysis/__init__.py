@@ -9,10 +9,13 @@ Two halves:
   executing anything. Wired into ``SearchContext`` (debug mode), the
   ``repro.search.serialize`` load paths (always) and runtime plan
   admission, plus ``python -m repro.analysis artifact.json``;
-- the **repo lint** (:mod:`repro.analysis.repolint`): a small AST linter
-  enforcing repository invariants (no module-level unseeded RNG calls, no
-  mutable default arguments, no bare ``except:``), run by ``make lint``
-  and as a pytest-collected check.
+- the **repo lint** (:mod:`repro.analysis.flowcheck`): the one lint
+  engine over the repo's own source — numeric safety, RNG discipline,
+  units, worker safety and resource typestate, plus the flat
+  ``mutable-default`` / ``bare-except`` checks — run by ``make lint``,
+  ``make flowcheck`` and ``python -m repro.analysis --flow``. It is
+  imported only by the CLI, never by this package, so loading
+  :mod:`repro.analysis` costs the verifier alone.
 """
 
 from .artifact import detect_kind, verify_artifact

@@ -38,7 +38,6 @@ from .artifact import KINDS, verify_artifact
 from .diagnostics import Severity
 from .flowcheck import (
     DEFAULT_BASELINE,
-    DEFAULT_CACHE_DIR,
     BaselineError,
     apply_baseline,
     check_paths,
@@ -116,11 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(justifications of live entries are preserved)",
     )
     flow.add_argument(
-        "--no-cache", action="store_true",
-        help="analyze everything from scratch, ignoring and not writing "
-        "the incremental cache (.flowcheck_cache/)",
-    )
-    flow.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog"
     )
     return parser
@@ -138,8 +132,7 @@ def _flow_main(args: argparse.Namespace) -> int:
         return 0
     output_format = args.output_format or ("json" if args.as_json else "human")
     targets = args.targets or _default_flow_targets()
-    cache_dir = None if args.no_cache else DEFAULT_CACHE_DIR
-    result = check_paths(targets, cache_dir=cache_dir)
+    result = check_paths(targets)
     findings = result.sorted_findings()
 
     baseline_path = Path(args.baseline or DEFAULT_BASELINE)

@@ -1,8 +1,8 @@
 """flowcheck — dataflow-based numeric-safety & RNG-discipline analyzer.
 
-The repo-code half of :mod:`repro.analysis`, grown out of the flat
-``repolint`` AST gate into a multi-pass engine: per-module symbol tables,
-an intraprocedural guard-tracking dataflow interpreter, a cross-module
+The repo-code half of :mod:`repro.analysis` and the repo's one lint
+engine, built in passes: per-module symbol tables, an
+intraprocedural guard-tracking dataflow interpreter, a cross-module
 project index (function summaries, unit inference, call graph,
 worker-bound reachability), and rule plugins that emit the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` type.
@@ -22,8 +22,9 @@ Rule catalog (stable ids):
                       unvalidated unit parameters
 ``print-call``        print() outside experiments//benchmarks//examples//
                       __main__/main()
-``mutable-default``   (legacy) mutable default argument
-``bare-except``       (legacy) bare ``except:``
+``mutable-default``   mutable default argument
+``bare-except``       bare ``except:``
+``syntax``            file does not parse
 ``UNIT-MISMATCH``     arithmetic/comparison mixing incompatible units
                       (``_ms`` + ``_s``, percent vs fraction, missing 8x
                       between bytes and bits)
@@ -56,9 +57,7 @@ Suppress one finding inline with ``# flowcheck: ignore[rule-id] -- why``
 finding in ``flowcheck-baseline.json``. Run the gate with
 ``python -m repro.analysis --flow src/repro benchmarks examples`` or
 ``make flowcheck``; ``--format sarif`` emits SARIF 2.1.0 for scanning
-UIs, ``--prune-baseline`` drops stale baseline entries. Results are
-cached incrementally in ``.flowcheck_cache/`` (:mod:`.cache`) — an
-unchanged tree re-analyzes nothing; ``--no-cache`` forces a full run.
+UIs, ``--prune-baseline`` drops stale baseline entries.
 """
 
 from .baseline import (
@@ -69,7 +68,6 @@ from .baseline import (
     prune_baseline,
     save_baseline,
 )
-from .cache import DEFAULT_CACHE_DIR
 from .core import Finding, make_finding
 from .engine import CheckResult, check_paths, check_source
 from .rules import all_rule_ids, rule_catalog
@@ -79,7 +77,6 @@ __all__ = [
     "BaselineError",
     "CheckResult",
     "DEFAULT_BASELINE",
-    "DEFAULT_CACHE_DIR",
     "Finding",
     "all_rule_ids",
     "apply_baseline",

@@ -5,7 +5,7 @@ Flowcheck is a multi-pass static analyzer over the ``src/repro`` package:
 - **pass 0** parses every file and records inline suppression pragmas;
 - **pass 1** builds a per-module symbol table (import aliases, module-level
   constants, a function index with enclosing-class qualnames);
-- **pass 2** runs the flat legacy rules inherited from ``repolint``;
+- **pass 2** runs the module rules, which walk the parsed tree directly;
 - **pass 3** runs the dataflow rules function-by-function on top of the
   guard-tracking interpreter in :mod:`repro.analysis.flowcheck.dataflow`.
 

@@ -30,7 +30,7 @@ from .clock import MonotonicClockRule
 from .concurrency import SharedMutableRule, WallClockSpanRule, WorkerRngRule
 from .contracts import BoundaryContractRule
 from .exceptions import BreakerProtocolRule, SwallowedFaultRule
-from .legacy import LegacyRepolintRule
+from .legacy import LegacyRule
 from .numeric import DivGuardRule, FloatEqRule, MathDomainRule
 from .printcall import PrintCallRule
 from .resources import SinkFlushRule, SpanLeakRule
@@ -48,7 +48,7 @@ MODULE_RULES = [
     PrintCallRule(),
     MonotonicClockRule(),
     WallClockSpanRule(),
-    LegacyRepolintRule(),
+    LegacyRule(),
 ]
 
 #: Interprocedural rules driven with the cross-module project index.

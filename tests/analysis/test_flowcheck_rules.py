@@ -4,6 +4,8 @@ silent on idiomatic repo code."""
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.flowcheck import check_paths, check_source
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -410,6 +412,30 @@ class TestLegacyRules:
 
     def test_syntax_error_reported_not_raised(self):
         assert rules("def f(:\n") == ["syntax"]
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("def f(*, x={}):\n    return x\n", ["mutable-default"]),
+            ("def f(x=dict()):\n    return x\n", ["mutable-default"]),
+            ("g = lambda x=[]: x\n", ["mutable-default"]),
+            ("async def f(x=set()):\n    return x\n", ["mutable-default"]),
+            ("def f(x=(), y=None, z=0):\n    return x, y, z\n", []),
+            ("def f(x=list((1,)), y=dict(a=1)):\n    return x, y\n", []),
+            ("try:\n    pass\nexcept ValueError:\n    pass\n", []),
+        ],
+        ids=[
+            "kwonly-dict",
+            "argless-dict-call",
+            "lambda-list",
+            "async-def",
+            "immutable-defaults",
+            "calls-with-args",
+            "typed-except",
+        ],
+    )
+    def test_flat_rule_goldens(self, src, expected):
+        assert rules(src) == expected
 
 
 class TestSuppression:
