@@ -1,6 +1,6 @@
 """Resource typestate rules over the exception-aware CFG.
 
-``SPAN-LEAK`` — a ``PerfRegistry.span(...)`` / ``TraceRecorder.span(...)``
+``SPAN-LEAK`` — a ``repro.obs.span(...)`` / ``TraceRecorder.span(...)``
 context, a read-mode ``open()``, or a
 crash-safe sink (``JsonlSink`` / ``CsvSink`` / the pool's
 ``ResultJournal``) bound to a local outside ``with`` must be released
@@ -44,12 +44,11 @@ _FLUSH_METHODS = frozenset({"flush"})
 #: Attribute names that (re)dirty a writer.
 _WRITE_METHODS = frozenset({"write", "writelines", "writerow", "writerows"})
 
-#: Attribute calls opening a span-shaped context (``perf.span(...)``,
-#: ``recorder.span(...)``). ``recorder.trace(...)`` is deliberately NOT
-#: matched by attribute name: ``.trace(`` is a common accessor elsewhere
-#: (``scenario.trace()`` returns a bandwidth trace) and the false
-#: positives would drown the rule.
+#: Calls opening a span-shaped context: any ``.span(...)`` method
+#: (``recorder.span``, ``obs.span``), and the span API itself resolved
+#: through the import table, so bare and aliased calls count too.
 _SPAN_METHODS = frozenset({"span"})
+_SPAN_FUNCTIONS = frozenset({"repro.obs.trace.span", "repro.obs.span"})
 
 #: Constructors of the crash-safe sink classes. An instance holds the
 #: only reference to its file handle, so the handle-release contract the
@@ -77,10 +76,13 @@ def classify_acquisition(call: ast.Call, module: ModuleInfo) -> Optional[str]:
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in _SPAN_METHODS:
         return "span"
-    if module.resolve(func) in _SINK_CLASSES:
+    target = module.resolve(func)
+    if target in _SPAN_FUNCTIONS:
+        return "span"
+    if target in _SINK_CLASSES:
         return "sink"
     mode_arg: Optional[ast.expr] = None
-    if isinstance(func, ast.Name) and module.resolve(func) == "open":
+    if isinstance(func, ast.Name) and target == "open":
         if len(call.args) > 1:
             mode_arg = call.args[1]
     elif isinstance(func, ast.Attribute) and func.attr == "open":

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..network.scenarios import Scenario, get_scenario
-from ..obs.trace import get_recorder
+from ..obs.trace import span
 from ..perf import get_registry
 from ..runtime.emulator import EmulationResult, run_emulation
 from ..runtime.engine import TreePlan
@@ -171,15 +171,12 @@ def run_chaos(
     """
     config = config or ExperimentConfig()
     scenario = scenario or get_scenario("vgg11", "phone", "4G indoor static")
-    recorder = get_recorder()
-    with get_registry().scoped(), recorder.trace(
-        "run_chaos", scenario=str(scenario), seed=config.seed
-    ):
+    with get_registry().scoped(), span("run_chaos", scenario=str(scenario), seed=config.seed):
         context = build_context(scenario)
         trace = scenario.trace(duration_s=config.trace_duration_s)
         types = trace.bandwidth_types(config.num_bandwidth_types)
 
-        with recorder.span("scenario.tree"):
+        with span("scenario.tree"):
             tree_result = model_tree_search(
                 context,
                 types,
@@ -197,7 +194,7 @@ def run_chaos(
         schedule = schedule or default_fault_schedule(duration_ms)
         faulted = schedule.install(env)
 
-        with recorder.span("chaos.replay.naive"):
+        with span("chaos.replay.naive"):
             naive_result = run_emulation(
                 TreePlan(tree),
                 faulted,
@@ -209,7 +206,7 @@ def run_chaos(
         resilient_plan = TreePlan(
             tree, policy=policy or default_offload_policy(), breaker=breaker
         )
-        with recorder.span("chaos.replay.resilient"):
+        with span("chaos.replay.resilient"):
             resilient_result = run_emulation(
                 resilient_plan,
                 faulted,

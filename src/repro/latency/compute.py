@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..contracts import require_positive
 from ..model.spec import ModelSpec
-from ..perf import get_registry
+from ..obs.trace import span
 from .devices import DeviceProfile
 from .transfer import TransferModel
 
@@ -92,7 +92,7 @@ class LatencyEstimator:
         """Latency for explicit edge/cloud halves (the edge half may be
         compressed, so the simple partition-index form does not apply)."""
         require_positive(bandwidth_mbps, "bandwidth_mbps")
-        with get_registry().span("latency.estimate_composed"):
+        with span("latency.estimate_composed"):
             edge_ms = self.edge.model_latency_ms(edge_spec) if edge_spec and len(edge_spec) else 0.0
             cloud_ms = (
                 self.cloud.model_latency_ms(cloud_spec) if cloud_spec and len(cloud_spec) else 0.0

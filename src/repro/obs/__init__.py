@@ -14,9 +14,9 @@ into phase timings, per-fork request counts, RL learning curves,
 windowed latency and a resilience timeline, and ``diff`` compares two
 runs' artifacts with regression verdicts.
 
-Tracing is **off by default** — the process-wide recorder is disabled and
-instrumented hot paths pay a single attribute check. Enable it around a
-run with::
+Every timed region opens one :func:`span` (perf registry + trace).
+Tracing is **off by default**; a span then only times into the registry,
+≈ 1.3 µs per served request (``obs.span_off_us``). Enable it with::
 
     from repro.obs import recording
 
@@ -57,6 +57,7 @@ from .trace import (
     get_recorder,
     recording,
     set_recorder,
+    span,
 )
 from .window import (
     WindowedCounter,
@@ -97,6 +98,7 @@ __all__ = [
     "recording",
     "render_report",
     "set_recorder",
+    "span",
     "summarize_paths",
     "summarize_records",
     "summarize_trace",

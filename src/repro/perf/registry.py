@@ -4,13 +4,12 @@ The ROADMAP's "fast as the hardware allows" goal needs numbers before it
 needs optimizations: a :class:`PerfRegistry` accumulates named counters and
 span timings (count / total / max / mean milliseconds) with dictionary-write
 overhead, so it can stay enabled inside loops that run thousands of times
-per search episode. A process-wide default registry is wired into
-:meth:`repro.search.context.SearchContext.evaluate`,
-:meth:`repro.latency.compute.LatencyEstimator.estimate_composed`, the tree
-search's forward-generation/backward-estimation episodes and the emulator
-request loop; ``snapshot()`` / ``dump()`` export everything as JSON (the
-``make bench-json`` target persists it next to the pytest-benchmark
-results).
+per search episode. Regions are timed with :func:`repro.obs.span`, which
+folds each block into the process-wide default registry via
+:meth:`PerfRegistry.record_span` (search evaluation, latency estimates,
+tree/branch episodes, both serving doors); ``snapshot()`` / ``dump()``
+export everything as JSON (``make bench-json`` persists it next to the
+pytest-benchmark results).
 
 This module deliberately imports nothing from the rest of :mod:`repro`, so
 any layer may depend on it without cycles.
@@ -19,7 +18,6 @@ any layer may depend on it without cycles.
 from __future__ import annotations
 
 import json
-import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -232,8 +230,8 @@ class HistogramStat:
 class PerfRegistry:
     """Named counters plus span timers, dumpable as JSON.
 
-    ``enabled=False`` turns :meth:`span` into a no-op context manager and
-    :meth:`count` into a cheap early return, so instrumented code never
+    ``enabled=False`` turns :meth:`record_span`, :meth:`count` and the
+    histogram writes into cheap early returns, so instrumented code never
     needs its own gating.
     """
 
@@ -270,18 +268,6 @@ class PerfRegistry:
         if stat is None:
             stat = self._spans[name] = SpanStat()
         stat.record(elapsed_ms)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time the enclosed block and fold it into span ``name``."""
-        if not self.enabled:
-            yield
-            return
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_span(name, (time.perf_counter() - start) * 1e3)
 
     def span_stat(self, name: str) -> SpanStat:
         """Accumulated stats of span ``name`` (zeros if never recorded)."""

@@ -1,9 +1,12 @@
-"""Emulation harness — Table IV.
+"""Emulation harness — Table IV — and the one request core.
 
 "We run emulation tests with real-world network condition traces and
 estimated latencies": inference requests are issued along the trace, each
 executed by a plan against the simulated clock; the table reports the mean
 reward, latency and accuracy per scene.
+
+Both serving doors (:func:`run_emulation`, ``InferenceSession.infer``)
+share one request core: :func:`serve_request` and :func:`record_completion`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from ..contracts import require_non_negative
 from ..obs.slo import BurnRateEvaluator, SLOPolicy
-from ..obs.trace import get_recorder
+from ..obs.trace import get_recorder, span
 from ..perf import get_registry
 from .engine import InferenceOutcome, InferencePlan, RuntimeEnvironment, admit_plan
 from .faults import FaultError
@@ -56,6 +59,69 @@ class EmulationResult:
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+
+def device_only(env: RuntimeEnvironment) -> RuntimeEnvironment:
+    """``env`` with the cloud out for good: the degraded-retry env."""
+    return dataclasses.replace(env, cloud_outages=((0.0, float("inf")),))
+
+
+def record_fault(
+    prefix: str, fault: FaultError, counts: Dict[str, int], *, index: int, where: str
+) -> None:
+    """Book one absorbed fault: per-type count, registry counter, event."""
+    name = type(fault).__name__
+    counts[name] = counts.get(name, 0) + 1
+    get_registry().count(f"{prefix}.faults_absorbed")
+    t_sim_ms = float(getattr(fault, "t_ms", 0.0))
+    get_recorder().event(
+        f"{prefix}.fault_absorbed", fault=name, index=index, where=where, t_sim_ms=t_sim_ms
+    )
+
+
+def serve_request(
+    plan: InferencePlan, start: float, env: RuntimeEnvironment,
+    fallback_env: RuntimeEnvironment, rng: np.random.Generator,
+    *, name: str, index: int, faults: Dict[str, int],
+) -> InferenceOutcome:
+    """Serve one request inside span ``name`` — the serving boundary.
+
+    A typed environmental fault is booked (:func:`record_fault`, prefix
+    ``name`` up to its first dot) and the request re-runs once on
+    ``fallback_env``, so one flaky window cannot void a whole run. A
+    fault on that retry, or any non-fault error, propagates: bugs stay
+    loud.
+    """
+    with span(name, index=index, start_sim_ms=start) as obs_span:
+        try:
+            outcome = plan.execute(start, env, rng)
+        except FaultError as fault:
+            prefix = name.partition(".")[0]
+            record_fault(prefix, fault, faults, index=index, where="plan.execute")
+            obs_span.add(degraded_by_fault=type(fault).__name__)
+            outcome = plan.execute(start, fallback_env, rng)
+        obs_span.add(
+            latency_ms=outcome.latency_ms,
+            fork_path=list(outcome.fork_choices),
+            offloaded=outcome.offloaded,
+            fell_back=outcome.fell_back,
+            retries=outcome.retries,
+            degraded=outcome.degraded,
+            reward=outcome.reward,
+        )
+    return outcome
+
+
+def record_completion(
+    name: str, outcome: InferenceOutcome, evaluator: Optional[BurnRateEvaluator]
+) -> None:
+    """Feed a finished request's latency to ``<name>.latency_ms`` and the
+    SLO, keyed on its *simulated* completion time (windowed slabs keep
+    brownout spikes visible inside long runs)."""
+    done_ms = outcome.start_ms + outcome.latency_ms
+    get_registry().observe_at(f"{name}.latency_ms", outcome.latency_ms, t_ms=done_ms)
+    if evaluator is not None:
+        evaluator.observe(outcome.latency_ms, t_ms=done_ms)
 
 
 def run_emulation(
@@ -109,51 +175,17 @@ def run_emulation(
     else:
         arrival_times = list(np.linspace(0.0, duration_ms * 0.9, num_requests))
 
-    perf = get_registry()
-    recorder = get_recorder()
     evaluator = BurnRateEvaluator(slo) if slo is not None else None
+    fallback_env = device_only(env)
     device_free_ms = 0.0
-    degraded_env = None  # built lazily on the first absorbed fault
     for index, arrival in enumerate(arrival_times):
-        start_key = max(float(arrival), device_free_ms) if queued else float(arrival)
-        perf.count_at("emulator.requests", t_ms=start_key)
-        start = start_key
-        with perf.span("emulator.request"), recorder.span(
-            "emulator.request", index=index, start_sim_ms=start
-        ) as obs_span:
-            try:
-                outcome = plan.execute(start, env, rng)
-            except FaultError as fault:
-                # Absorb typed environmental faults only: count them,
-                # leave a trace event, and re-run this one request as if
-                # a permanent outage were active (device-only), so one
-                # flaky window cannot void a whole emulation table.
-                name = type(fault).__name__
-                result.swallowed_faults[name] = (
-                    result.swallowed_faults.get(name, 0) + 1
-                )
-                perf.count("emulator.faults_absorbed")
-                recorder.event(
-                    "emulator.fault_absorbed",
-                    fault=name,
-                    index=index,
-                    t_sim_ms=float(getattr(fault, "t_ms", 0.0)),
-                )
-                obs_span.add(degraded_by_fault=name)
-                if degraded_env is None:
-                    degraded_env = dataclasses.replace(
-                        env, cloud_outages=((0.0, float("inf")),)
-                    )
-                outcome = plan.execute(start, degraded_env, rng)
-            obs_span.add(
-                latency_ms=outcome.latency_ms,
-                fork_path=list(outcome.fork_choices),
-                offloaded=outcome.offloaded,
-                fell_back=outcome.fell_back,
-                retries=outcome.retries,
-                degraded=outcome.degraded,
-                reward=outcome.reward,
-            )
+        start = max(float(arrival), device_free_ms) if queued else float(arrival)
+        get_registry().count_at("emulator.requests", t_ms=start)
+        outcome = serve_request(
+            plan, start, env, fallback_env, rng,
+            name="emulator.request", index=index,
+            faults=result.swallowed_faults,
+        )
         if queued:
             completion = start + outcome.latency_ms
             if pipelined:
@@ -175,15 +207,9 @@ def run_emulation(
                         outcome.accuracy, outcome.latency_ms + queueing_delay
                     ),
                 )
-        # End-to-end (post-queueing) simulated latency, so the exported
-        # percentiles match what the application would observe. The
-        # windowed slab is keyed on the simulated completion time.
-        done_ms = outcome.start_ms + outcome.latency_ms
-        perf.observe_at(
-            "emulator.request.latency_ms", outcome.latency_ms, t_ms=done_ms
-        )
-        if evaluator is not None:
-            evaluator.observe(outcome.latency_ms, t_ms=done_ms)
+        # End-to-end (post-queueing) latency, so the exported percentiles
+        # match what the application would observe.
+        record_completion("emulator.request", outcome, evaluator)
         result.outcomes.append(outcome)
     if evaluator is not None:
         result.slo = evaluator.summary()

@@ -25,11 +25,10 @@ import numpy as np
 from ..contracts import require_non_negative
 from ..network.predictor import BandwidthPredictor
 from ..obs.slo import BurnRateEvaluator, SLOPolicy, SLOStatus, make_burn_rate_breaker
-from ..obs.trace import get_recorder
-from ..perf import HistogramStat, get_registry
+from ..perf import HistogramStat
 from ..search.tree import ModelTree
 from .adaptation import QuantileForkMatcher, adaptive_probe
-from .emulator import EmulationResult
+from .emulator import EmulationResult, device_only, record_completion, record_fault, serve_request
 from .engine import InferenceOutcome, RuntimeEnvironment, TreePlan
 from .faults import FaultError
 from .resilience import CircuitBreaker, OffloadPolicy
@@ -94,6 +93,8 @@ class InferenceSession:
             raise_on_error(verify_tree(tree), context="inference session tree")
         self.tree = tree
         self.env = env
+        #: The degraded-retry environment after an absorbed fault.
+        self._fallback_env = device_only(env)
         self.predictor = predictor
         self.fork_matcher = fork_matcher
         self._adaptive = (
@@ -136,63 +137,24 @@ class InferenceSession:
             env = self._predictive_env()
         else:
             env = self.env
-        with get_recorder().span(
-            "session.infer", index=len(self.outcomes), start_sim_ms=start
-        ) as obs_span:
-            try:
-                outcome = self._plan.execute(start, env, self.rng)
-            except FaultError as fault:
-                # The serving boundary: a typed environmental fault is
-                # recorded and the request degrades to device-only (the
-                # cloud is treated as out for this one execution). A
-                # fault on the degraded retry — or anything outside the
-                # FaultError hierarchy — propagates: bugs stay loud.
-                self._record_fault(fault, where="plan.execute")
-                obs_span.add(degraded_by_fault=type(fault).__name__)
-                outcome = self._plan.execute(
-                    start, self._device_only_env(), self.rng
-                )
-            obs_span.add(
-                latency_ms=outcome.latency_ms,
-                fork_path=list(outcome.fork_choices),
-                offloaded=outcome.offloaded,
-                fell_back=outcome.fell_back,
-                retries=outcome.retries,
-                degraded=outcome.degraded,
-            )
-        self.latency_hist.record(outcome.latency_ms)
-        done_ms = start + outcome.latency_ms
-        # Windowed alongside cumulative, keyed on the simulated completion
-        # time so brownout spikes stay visible inside long runs.
-        get_registry().observe_at(
-            "session.infer.latency_ms", outcome.latency_ms, t_ms=done_ms
+        # The serving boundary (fault absorption, request span) is the
+        # same core run_emulation uses.
+        outcome = serve_request(
+            self._plan, start, env, self._fallback_env, self.rng,
+            name="session.infer", index=len(self.outcomes),
+            faults=self.fault_counts,
         )
-        if self.slo_evaluator is not None:
-            self.slo_evaluator.observe(outcome.latency_ms, t_ms=done_ms)
-        self.clock_ms = done_ms
+        self.latency_hist.record(outcome.latency_ms)
+        record_completion("session.infer", outcome, self.slo_evaluator)
+        self.clock_ms = start + outcome.latency_ms
         self.outcomes.append(outcome)
         return outcome
 
     def _record_fault(self, fault: FaultError, where: str) -> None:
-        """Count a swallowed environmental fault and leave a trace event."""
-        name = type(fault).__name__
-        self.fault_counts[name] = self.fault_counts.get(name, 0) + 1
-        get_recorder().event(
-            "session.fault_absorbed",
-            fault=name,
-            where=where,
-            t_sim_ms=float(getattr(fault, "t_ms", 0.0)),
-        )
-
-    def _device_only_env(self) -> RuntimeEnvironment:
-        """This session's environment with the cloud forced unavailable.
-
-        Used for the degraded retry after an absorbed fault: the request
-        runs as if a permanent outage were active, so resilient plans
-        take their fallback path instead of touching the faulty cloud.
-        """
-        return dataclasses.replace(
-            self.env, cloud_outages=((0.0, float("inf")),)
+        """Book a fault absorbed outside the request core (the probe)."""
+        record_fault(
+            "session", fault, self.fault_counts,
+            index=len(self.outcomes), where=where,
         )
 
     def _predictive_env(self) -> RuntimeEnvironment:

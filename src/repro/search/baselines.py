@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 import networkx as nx
 
 from ..contracts import require_positive
+from ..perf import get_registry
 from .context import CandidateResult, SearchContext
 from .plan import apply_compression_plan
 
@@ -48,7 +49,7 @@ def dynamic_dnn_surgery(
 ) -> SurgeryResult:
     """Min-cut partition of the fixed base DNN at one bandwidth."""
     require_positive(bandwidth_mbps, "bandwidth_mbps")
-    context.perf.count("surgery.runs")
+    get_registry().count("surgery.runs")
     spec = context.base
     estimator = context.estimator
     graph = nx.DiGraph()

@@ -34,7 +34,8 @@ from ..contracts import require_positive
 from ..latency.compute import LatencyBreakdown, LatencyEstimator
 from ..mdp.reward import RewardConfig
 from ..model.spec import ModelSpec
-from ..perf import DEFAULT_MAXSIZE, MemoPool, MemoStats, PerfRegistry, get_registry
+from ..obs.trace import span
+from ..perf import DEFAULT_MAXSIZE, MemoPool, MemoStats, get_registry
 from .composer import SpecComposer
 
 
@@ -66,7 +67,6 @@ class SearchContext:
         reward: RewardConfig,
         debug: bool = False,
         memo_maxsize: Optional[int] = DEFAULT_MAXSIZE,
-        perf: Optional[PerfRegistry] = None,
     ) -> None:
         self.base = base
         self.registry = registry
@@ -78,7 +78,6 @@ class SearchContext:
         )
         self.reward_config = reward
         self.debug = debug
-        self.perf = perf if perf is not None else get_registry()
         self._pool: MemoPool = MemoPool(maxsize=memo_maxsize, name="search.memo")
         #: Composed-spec cache shared by every search strategy over this
         #: context: prefix/cloud/full compositions are keyed on the parts'
@@ -103,10 +102,10 @@ class SearchContext:
         )
         cached = self._pool.get(key)
         if cached is not None:
-            self.perf.count("search.evaluate.hits")
+            get_registry().count("search.evaluate.hits")
             return cached
-        self.perf.count("search.evaluate.misses")
-        with self.perf.span("search.evaluate"):
+        get_registry().count("search.evaluate.misses")
+        with span("search.evaluate"):
             if self.debug:
                 # Lazy import: analysis is optional on the evaluation hot path.
                 from ..analysis import raise_on_error, verify_candidate

@@ -8,6 +8,8 @@ single module exercises the interprocedural machinery too).
 
 import textwrap
 
+import pytest
+
 from repro.analysis.flowcheck import check_source
 
 
@@ -84,6 +86,51 @@ class TestSpanLeak:
                 sink.adopt(span)
             """
         assert "SPAN-LEAK" not in rules(src)
+
+    @pytest.mark.parametrize(
+        "src, leaks",
+        [
+            (
+                """
+                from repro.obs.trace import span
+
+                def f():
+                    s = span("work")
+                    s.__enter__()
+                    raise RuntimeError("boom")
+                """,
+                True,
+            ),
+            (
+                """
+                from repro.obs import span as sp
+
+                def f():
+                    s = sp("work")
+                    s.__enter__()
+                    do_work()
+                    s.__exit__(None, None, None)
+                """,
+                True,
+            ),
+            (
+                """
+                from repro.obs import span
+
+                def f():
+                    with span("work", index=0) as handle:
+                        do_work()
+                        handle.add(done=True)
+                """,
+                False,
+            ),
+        ],
+        ids=["bare-leak", "aliased-leak", "with-clean"],
+    )
+    def test_span_function_goldens(self, src, leaks):
+        # The module-level span API resolves through the import table,
+        # so bare and aliased calls are tracked like recorder.span().
+        assert ("SPAN-LEAK" in rules(src)) is leaks
 
 
 class TestSinkFlush:

@@ -4,7 +4,17 @@ import json
 
 import pytest
 
+from repro.obs import span
 from repro.perf import PerfRegistry, SpanStat, get_registry, set_registry
+
+
+@pytest.fixture
+def default_registry():
+    """A fresh registry installed as the process default for the test."""
+    reg = PerfRegistry()
+    previous = set_registry(reg)
+    yield reg
+    set_registry(previous)
 
 
 class TestCounters:
@@ -27,9 +37,9 @@ class TestCounters:
 
 
 class TestSpans:
-    def test_span_times_block(self):
-        reg = PerfRegistry()
-        with reg.span("work"):
+    def test_span_times_block(self, default_registry):
+        reg = default_registry
+        with span("work"):
             sum(range(1000))
         stat = reg.span_stat("work")
         assert stat.count == 1
@@ -46,10 +56,10 @@ class TestSpans:
         assert stat.mean_ms == pytest.approx(3.0)
         assert stat.max_ms == pytest.approx(4.0)
 
-    def test_span_records_on_exception(self):
-        reg = PerfRegistry()
+    def test_span_records_on_exception(self, default_registry):
+        reg = default_registry
         with pytest.raises(RuntimeError):
-            with reg.span("boom"):
+            with span("boom"):
                 raise RuntimeError("inner")
         assert reg.span_stat("boom").count == 1
 
@@ -63,12 +73,13 @@ class TestSpans:
 
 
 class TestDisabled:
-    def test_disabled_registry_is_inert(self):
-        reg = PerfRegistry(enabled=False)
+    def test_disabled_registry_is_inert(self, default_registry):
+        reg = default_registry
+        reg.enabled = False
         reg.count("c")
         reg.record_span("s", 5.0)
         reg.observe("h", 5.0)
-        with reg.span("s"):
+        with span("s"):
             pass
         assert reg.counter("c") == 0
         assert reg.span_stat("s").count == 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs import span
 from repro.perf import get_registry
 from repro.runtime.faults import (
     PoolChaos,
@@ -56,7 +57,7 @@ def _count_and_double(x, marker_dir=None):
 @worker_safe
 def _count_in_perf(x):
     get_registry().count("pool.test.calls")
-    with get_registry().span("pool.test.work"):
+    with span("pool.test.work"):
         pass
     return x
 
