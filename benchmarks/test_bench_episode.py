@@ -160,7 +160,7 @@ def test_bench_batched_episodes_vs_sequential(benchmark):
     def batched():
         _run_batched(batched_context, RLPolicy(batched_context.registry, seed=SEED))
 
-    benchmark.pedantic(batched, rounds=3, iterations=1)
+    benchmark.pedantic(batched, rounds=10, iterations=1)
     batched_s = benchmark.stats.stats.min
 
     speedup = legacy_s / batched_s

@@ -35,6 +35,15 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid on a raw array, clipped so ``exp`` cannot overflow.
+
+    The clip is spelt as ``minimum(maximum(...))``: the same values as
+    ``np.clip`` without its Python-level dispatch.
+    """
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -60.0), 60.0)))
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
@@ -347,7 +356,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
+        data = sigmoid_array(self.data)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * data * (1.0 - data))
