@@ -12,18 +12,16 @@ Flow mode (the flowcheck engine)::
                                                       # + examples (those that
                                                       # exist)
     python -m repro.analysis --flow src/repro tests   # explicit paths
-    python -m repro.analysis --flow --format json     # machine-readable
-    python -m repro.analysis --flow --format sarif    # SARIF 2.1.0
+    python -m repro.analysis --flow --json            # machine-readable
     python -m repro.analysis --flow --report out.json # JSON report to a file
-                                                      # (CI artifact), any
-                                                      # --format on stdout
-    python -m repro.analysis --flow --write-baseline  # accept current findings
-    python -m repro.analysis --flow --prune-baseline  # drop stale entries
+                                                      # (CI artifact), human
+                                                      # output on stdout
     python -m repro.analysis --flow --list-rules      # rule catalog
 
-Exit status is 0 when clean, 1 with findings (artifact errors, or new
-flowcheck findings not covered by the baseline), 2 on usage/baseline
-errors.
+A finding is accepted only by an inline ``# flowcheck: ignore[rule-id]``
+pragma at its line. Exit status is 0 when clean, 1 with findings
+(artifact errors, or unsuppressed flowcheck findings), 2 on usage errors
+(including a flow target that is neither a directory nor a ``.py`` file).
 """
 
 from __future__ import annotations
@@ -36,19 +34,9 @@ from typing import List, Optional
 
 from .artifact import KINDS, verify_artifact
 from .diagnostics import Severity
-from .flowcheck import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    apply_baseline,
-    check_paths,
-    load_baseline,
-    prune_baseline,
-    rule_catalog,
-    save_baseline,
-    to_sarif,
-)
+from .flowcheck import check_paths, rule_catalog
 
-_JSON_SCHEMA_VERSION = 1
+_JSON_SCHEMA_VERSION = 2
 
 #: Directories --flow checks when no targets are given (those that exist).
 _DEFAULT_FLOW_TARGETS = ("src/repro", "benchmarks", "examples")
@@ -84,35 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the flowcheck engine over source paths instead of artifacts",
     )
     flow.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="",
-        dest="output_format",
-        help="stdout format for findings (default: human)",
-    )
-    flow.add_argument(
         "--json", action="store_true", dest="as_json",
-        help="alias for --format json",
+        help="print the JSON report on stdout instead of human output",
     )
     flow.add_argument(
         "--report", default="", metavar="FILE",
-        help="also write the JSON report to FILE (for CI artifacts), "
-        "independent of --format",
-    )
-    flow.add_argument(
-        "--baseline", default="",
-        help=f"baseline file (default: {DEFAULT_BASELINE} when present)",
-    )
-    flow.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    flow.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    flow.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite the baseline file without stale entries "
-        "(justifications of live entries are preserved)",
+        help="also write the JSON report to FILE (for CI artifacts)",
     )
     flow.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog"
@@ -130,78 +95,43 @@ def _flow_main(args: argparse.Namespace) -> int:
         for rule_id, summary in rule_catalog().items():
             print(f"{rule_id:20s} {summary}")
         return 0
-    output_format = args.output_format or ("json" if args.as_json else "human")
     targets = args.targets or _default_flow_targets()
+    bad_targets = [
+        target
+        for target in map(Path, targets)
+        if not target.is_dir()
+        and not (target.is_file() and target.suffix == ".py")
+    ]
+    if bad_targets:
+        print(
+            "flowcheck: not a directory or .py file: "
+            + ", ".join(map(str, bad_targets)),
+            file=sys.stderr,
+        )
+        return 2
     result = check_paths(targets)
-    findings = result.sorted_findings()
-
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE)
-    if args.write_baseline:
-        save_baseline(baseline_path, findings)
-        print(
-            f"flowcheck: wrote {len(findings)} finding(s) to {baseline_path}",
-            file=sys.stderr,
-        )
-        return 0
-
-    entries: List[dict] = []
-    if not args.no_baseline and baseline_path.is_file():
-        try:
-            entries = load_baseline(baseline_path)
-        except BaselineError as exc:
-            print(f"flowcheck: {exc}", file=sys.stderr)
-            return 2
-    fresh, baselined, stale = apply_baseline(findings, entries)
-
-    if args.prune_baseline and stale:
-        kept, pruned = prune_baseline(baseline_path, findings)
-        print(
-            f"flowcheck: pruned {pruned} stale baseline entr"
-            f"{'y' if pruned == 1 else 'ies'} from {baseline_path} "
-            f"({kept} kept)",
-            file=sys.stderr,
-        )
-        stale = []
+    findings = result.findings
 
     payload = {
         "version": _JSON_SCHEMA_VERSION,
         "files_checked": result.files_checked,
-        "findings": [finding.to_json() for finding in fresh],
-        "baselined": len(baselined),
+        "findings": [finding.to_json() for finding in findings],
         "suppressed": result.suppressed,
-        "stale_baseline_entries": len(stale),
     }
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2) + "\n")
 
-    if output_format == "json":
+    if args.as_json:
         print(json.dumps(payload, indent=2))
-    elif output_format == "sarif":
-        print(json.dumps(to_sarif(fresh), indent=2))
     else:
-        for finding in fresh:
+        for finding in findings:
             print(finding.format())
-        for entry in stale:
-            print(
-                f"flowcheck: stale baseline entry (fixed? run "
-                f"--prune-baseline to drop it): "
-                f"[{entry['rule']}] {entry['path']}: {entry['message']}",
-                file=sys.stderr,
-            )
-    if stale:
-        print(
-            f"flowcheck: baseline is stale ({len(stale)} entr"
-            f"{'y' if len(stale) == 1 else 'ies'} no longer match); "
-            f"run with --prune-baseline to clean it up",
-            file=sys.stderr,
-        )
-    summary = (
-        f"flowcheck: {result.files_checked} file(s), {len(fresh)} new "
-        f"finding(s), {len(baselined)} baselined, {result.suppressed} "
-        f"suppressed"
+    print(
+        f"flowcheck: {result.files_checked} file(s), {len(findings)} "
+        f"finding(s), {result.suppressed} suppressed",
+        file=sys.stderr,
     )
-    print(summary, file=sys.stderr)
-    return 1 if fresh else 0
+    return 1 if findings else 0
 
 
 def _artifact_main(args: argparse.Namespace) -> int:

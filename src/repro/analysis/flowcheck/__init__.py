@@ -24,6 +24,8 @@ Rule catalog (stable ids):
                       __main__/main()
 ``mutable-default``   mutable default argument
 ``bare-except``       bare ``except:``
+``monotonic-clock``   any ``time.time()`` call (the wall clock steps under
+                      NTP; time durations with ``perf_counter``)
 ``syntax``            file does not parse
 ``UNIT-MISMATCH``     arithmetic/comparison mixing incompatible units
                       (``_ms`` + ``_s``, percent vs fraction, missing 8x
@@ -36,8 +38,6 @@ Rule catalog (stable ids):
                       from a ``@worker_safe`` entry point
 ``WORKER-RNG``        constant-seeded or module-level RNG used on a
                       worker-bound path (streams would collide)
-``WALLCLOCK-SPAN``    span math on ``time.time()`` (wall clock steps under
-                      NTP; use ``perf_counter``)
 ``SPAN-LEAK``         span/handle acquired outside ``with`` not released
                       on every exit, including exception edges
 ``SINK-FLUSH``        worker-bound result sink that can reach an exit
@@ -52,40 +52,24 @@ The four typestate rules run resource state machines over per-function
 control-flow graphs with explicit exception edges (:mod:`.cfg`,
 :mod:`.typestate`).
 
-Suppress one finding inline with ``# flowcheck: ignore[rule-id] -- why``
-(several ids comma-separated, matched case-insensitively); accept a known
-finding in ``flowcheck-baseline.json``. Run the gate with
+Accept a finding inline with ``# flowcheck: ignore[rule-id] -- why``
+(several ids comma-separated, matched case-insensitively); a pragma must
+name its rules. Run the gate with
 ``python -m repro.analysis --flow src/repro benchmarks examples`` or
-``make flowcheck``; ``--format sarif`` emits SARIF 2.1.0 for scanning
-UIs, ``--prune-baseline`` drops stale baseline entries.
+``make flowcheck``; ``--json`` prints the JSON report on stdout and
+``--report FILE`` writes it to a file.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    save_baseline,
-)
 from .core import Finding, make_finding
 from .engine import CheckResult, check_paths, check_source
 from .rules import all_rule_ids, rule_catalog
-from .sarif import to_sarif
 
 __all__ = [
-    "BaselineError",
     "CheckResult",
-    "DEFAULT_BASELINE",
     "Finding",
     "all_rule_ids",
-    "apply_baseline",
     "check_paths",
     "check_source",
-    "load_baseline",
     "make_finding",
-    "prune_baseline",
     "rule_catalog",
-    "save_baseline",
-    "to_sarif",
 ]

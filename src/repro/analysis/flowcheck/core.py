@@ -11,8 +11,8 @@ Flowcheck is a multi-pass static analyzer over the ``src/repro`` package:
 
 Rules emit the repo's existing :class:`~repro.analysis.diagnostics.Diagnostic`
 type; :class:`Finding` wraps one with its structured path/line so the engine
-can apply suppressions, diff against a baseline and render JSON without
-re-parsing location strings.
+can apply suppressions and render JSON without re-parsing location
+strings.
 """
 
 from __future__ import annotations
@@ -40,14 +40,6 @@ class Finding:
     @property
     def severity(self) -> Severity:
         return self.diagnostic.severity
-
-    def fingerprint(self) -> str:
-        """Line-number-free identity used for baseline matching.
-
-        Line numbers churn on unrelated edits; the rule id, file and message
-        (which names the offending symbol) are stable across reformats.
-        """
-        return f"{self.rule}::{self.path}::{self.diagnostic.message}"
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -119,7 +111,7 @@ class ModuleInfo:
     #: module-level names bound to numeric constants (value recorded).
     constants: Dict[str, float] = field(default_factory=dict)
     functions: List[FunctionInfo] = field(default_factory=list)
-    #: line -> set of suppressed rule ids ('*' suppresses everything).
+    #: line -> set of suppressed rule ids (lowercased).
     suppressions: Dict[int, frozenset] = field(default_factory=dict)
 
     @property

@@ -8,9 +8,8 @@ graph, worker-bound reachability, fault-reaching closure), and only
 then do the per-module passes run — module rules (pass 2), the dataflow
 interpreter with every flow rule's hooks multiplexed (pass 3), the
 typestate rules over one exception-aware CFG per function (pass 3.5),
-and the project rules with the index in hand (pass 4). Suppressed
-findings are dropped at report time; the caller applies the baseline
-afterwards (see :mod:`.baseline`).
+and the project rules with the index in hand (pass 4). Findings
+suppressed by an inline pragma are dropped (and counted) at report time.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def iter_python_files(paths: Iterable[PathLike]) -> List[Path]:
 
 @dataclass
 class CheckResult:
-    """Outcome of one engine run (before baseline application)."""
+    """Outcome of one engine run."""
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0

@@ -1,6 +1,6 @@
 """Flowcheck rule registry.
 
-Two plugin shapes:
+Four plugin shapes:
 
 - **flow rules** implement ``flow_hooks(module, function, report)`` and get
   driven by the dataflow interpreter once per function;
@@ -16,9 +16,9 @@ Two plugin shapes:
   machine (:mod:`repro.analysis.flowcheck.typestate`).
 
 ``report(rule_id, node_or_line, message, hint=..., severity=...)`` is
-provided by the engine and handles location bookkeeping, suppression and
-baseline matching. Every rule has a stable id — renaming one invalidates
-baselines and inline pragmas, so don't.
+provided by the engine and handles location bookkeeping and suppression.
+Every rule has a stable id — renaming one invalidates inline pragmas, so
+don't.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Dict, List
 
 from .aliasing import TensorAliasRule
 from .clock import MonotonicClockRule
-from .concurrency import SharedMutableRule, WallClockSpanRule, WorkerRngRule
+from .concurrency import SharedMutableRule, WorkerRngRule
 from .contracts import BoundaryContractRule
 from .exceptions import BreakerProtocolRule, SwallowedFaultRule
 from .legacy import LegacyRule
@@ -47,7 +47,6 @@ MODULE_RULES = [
     BoundaryContractRule(),
     PrintCallRule(),
     MonotonicClockRule(),
-    WallClockSpanRule(),
     LegacyRule(),
 ]
 

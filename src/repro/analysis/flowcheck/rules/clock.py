@@ -3,12 +3,11 @@
 ``monotonic-clock``: ``time.time()`` is the wall clock — NTP slews it,
 DST and manual adjustments jump it — so durations measured with it can
 come out negative or wildly wrong. Everything in this repo that times a
-region (perf spans, trace records) must use ``time.perf_counter()`` (or
-``time.monotonic()``), and that plumbing lives in :mod:`repro.perf` and
-:mod:`repro.obs`. Any other module calling ``time.time()`` is almost
-certainly measuring a duration with the wrong clock — and if it truly
-needs a timestamp-of-record, an inline ``# flowcheck: ignore`` pragma
-documents that decision at the call site.
+region (perf spans, trace records) uses ``time.perf_counter()`` (or
+``time.monotonic()``), so every ``time.time()`` call is flagged,
+:mod:`repro.perf` and :mod:`repro.obs` included. A call that truly needs
+a timestamp-of-record documents that decision at the call site with an
+inline ``# flowcheck: ignore[monotonic-clock]`` pragma.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ from typing import Dict
 
 from ..core import ModuleInfo
 
-#: Packages that own the timing plumbing and may touch clocks freely.
-_CLOCK_PACKAGES = ("perf", "obs")
-
 
 class MonotonicClockRule:
     id = "monotonic-clock"
@@ -28,14 +24,12 @@ class MonotonicClockRule:
     def catalog(self) -> Dict[str, str]:
         return {
             self.id: (
-                "time.time() outside repro/perf and repro/obs (use "
-                "time.perf_counter() for durations)"
+                "time.time() wall-clock call (use time.perf_counter() "
+                "for durations)"
             )
         }
 
     def check(self, module: ModuleInfo, report) -> None:
-        if module.in_package(*_CLOCK_PACKAGES):
-            return
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -44,9 +38,10 @@ class MonotonicClockRule:
             report(
                 self.id,
                 node,
-                "time.time() call outside the timing plumbing",
+                "time.time() reads the wall clock",
                 hint=(
-                    "use time.perf_counter() (monotonic) for durations, "
-                    "or record through repro.perf / repro.obs"
+                    "use time.perf_counter() (monotonic) for durations; "
+                    "keep time.time() for pragma-documented "
+                    "timestamps-of-record only"
                 ),
             )

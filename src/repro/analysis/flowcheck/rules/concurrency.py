@@ -3,7 +3,7 @@
 ROADMAP item 3 fans search/evaluation across a worker pool. Code that
 will run inside workers is marked ``@worker_safe``
 (:func:`repro.runtime.workers.worker_safe`); these rules walk the call
-graph from those roots and flag the three process-safety hazards that
+graph from those roots and flag the two process-safety hazards that
 silently corrupt fan-out results:
 
 - ``SHARED-MUTABLE``: a worker-bound function mutates module-level state
@@ -14,18 +14,11 @@ silently corrupt fan-out results:
   constant seed (every worker then draws the *identical* stream and the
   "independent" replicas are copies), or draws on a module-level
   generator (stream shared/duplicated across workers).
-- ``WALLCLOCK-SPAN``: a duration computed by subtracting wall-clock
-  ``time.time()`` readings — NTP slews and DST jumps make such spans
-  negative or wildly wrong; spans must use ``time.perf_counter()``.
-  Unlike ``monotonic-clock`` this rule also covers ``repro/perf`` and
-  ``repro/obs``, whose *timestamps-of-record* are legitimate but whose
-  span math is not.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Set
+from typing import Dict
 
 from ..core import ModuleInfo
 from ..project import ProjectIndex
@@ -110,59 +103,3 @@ class WorkerRngRule:
                     ),
                 )
 
-
-class WallClockSpanRule:
-    """Module rule: needs no call graph, but runs everywhere (incl. perf/obs)."""
-
-    id = "WALLCLOCK-SPAN"
-
-    def catalog(self) -> Dict[str, str]:
-        return {
-            self.id: (
-                "duration computed from time.time() wall-clock readings "
-                "(use time.perf_counter())"
-            )
-        }
-
-    def check(self, module: ModuleInfo, report) -> None:
-        for function in module.functions:
-            tagged: Set[str] = set()
-            for node in ast.walk(function.node):
-                if isinstance(node, ast.Assign) and self._is_wallclock(
-                    module, node.value
-                ):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            tagged.add(target.id)
-            for node in ast.walk(function.node):
-                if not (
-                    isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Sub)
-                ):
-                    continue
-                if any(
-                    self._is_wallclock(module, side)
-                    or (
-                        isinstance(side, ast.Name) and side.id in tagged
-                    )
-                    for side in (node.left, node.right)
-                ):
-                    report(
-                        self.id,
-                        node,
-                        f"span `{ast.unparse(node)}` in "
-                        f"{function.qualname} is computed from the wall "
-                        "clock",
-                        hint=(
-                            "measure durations with time.perf_counter() "
-                            "(or time.monotonic()); keep time.time() for "
-                            "timestamps-of-record only"
-                        ),
-                    )
-
-    @staticmethod
-    def _is_wallclock(module: ModuleInfo, node: ast.expr) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and module.resolve(node.func) == "time.time"
-        )

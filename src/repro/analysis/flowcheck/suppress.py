@@ -6,16 +6,16 @@ A finding is suppressed by a trailing comment on its line::
 
 ``ignore[rule-a,rule-b]`` suppresses the listed rules (several on one
 line, matched case-insensitively — ``ignore[UNIT-MISMATCH,AMBIENT-RNG]``
-works); a bare ``# flowcheck: ignore`` suppresses every rule on that
-line. The text after ``--`` is the justification; it is not parsed but
-reviewers should require one.
+works). A pragma must name its rules: a bare ``# flowcheck: ignore``
+suppresses nothing. The text after ``--`` is the justification; it is
+not parsed, but every accepted finding should carry one.
 
 Pragmas are attributed by *logical* line: a statement that spans several
 physical lines (parenthesized call, continuation) is suppressed by a
 pragma on **any** of its lines, because rules report at the statement's
 first line while style guides often force the comment onto the last.
-Attribution uses the token stream, so a ``# flowcheck: ignore`` inside a
-string literal never suppresses anything.
+Attribution uses the token stream, so a pragma inside a string literal
+never suppresses anything.
 """
 
 from __future__ import annotations
@@ -26,22 +26,18 @@ import tokenize
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 _PRAGMA = re.compile(
-    r"#\s*flowcheck:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_\-, ]+)\])?"
+    r"#\s*flowcheck:\s*ignore\[(?P<rules>[A-Za-z0-9_\-, ]+)\]"
 )
-
-#: Sentinel rule set meaning "all rules".
-ALL_RULES: FrozenSet[str] = frozenset({"*"})
 
 
 def _parse_pragma(comment: str) -> Optional[FrozenSet[str]]:
     match = _PRAGMA.search(comment)
     if not match:
         return None
-    rules = match.group("rules")
-    if rules is None:
-        return ALL_RULES
     names = frozenset(
-        name.strip().lower() for name in rules.split(",") if name.strip()
+        name.strip().lower()
+        for name in match.group("rules").split(",")
+        if name.strip()
     )
     return names or None
 
@@ -125,7 +121,4 @@ def collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
 def is_suppressed(
     suppressions: Dict[int, FrozenSet[str]], line: int, rule: str
 ) -> bool:
-    active = suppressions.get(line)
-    if not active:
-        return False
-    return "*" in active or rule.lower() in active
+    return rule.lower() in suppressions.get(line, frozenset())

@@ -18,7 +18,7 @@ recent past queryable:
 **Simulated time only.** Buckets are keyed on the *simulated* request
 clock (``t_ms`` as carried by outcomes and trace fields like
 ``start_sim_ms``), never wall clock — consistent with the flowcheck
-``WALLCLOCK-SPAN`` rule, and the property that makes windows
+``monotonic-clock`` rule, and the property that makes windows
 deterministic: identical seeded runs land identical values in identical
 buckets, no matter how fast the host executed them. That is also what
 makes cross-worker aggregation exact: per-worker snapshots of the same

@@ -295,7 +295,7 @@ class PerfRegistry:
         The windowed ring is what makes a brownout's p99 spike visible
         inside a long sweep: the cumulative histogram only ever dilutes
         it. ``t_ms`` must be the *simulated* clock (request completion
-        time), consistent with the WALLCLOCK-SPAN rule.
+        time), consistent with the monotonic-clock rule.
         """
         self.observe(name, value)
         if not self.enabled:

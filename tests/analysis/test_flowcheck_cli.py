@@ -1,6 +1,5 @@
 """CLI behavior of ``python -m repro.analysis --flow``: exit codes, JSON
-and SARIF output, report files, suppressions and the baseline workflow
-(including ``--prune-baseline``)."""
+output, report files and inline suppressions."""
 
 import json
 import textwrap
@@ -10,7 +9,12 @@ import pytest
 
 from repro.analysis.__main__ import main
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+
+#: What ``make flowcheck`` (and the CI lint job) gates, relative to the
+#: repo root: path-scoped rules (print-call's benchmarks/examples
+#: carve-out) key on the leading path component.
+GATED = ("src/repro", "benchmarks", "examples")
 
 CLEAN = """
     def _helper(x):
@@ -39,13 +43,26 @@ def broken_file(tmp_path):
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, clean_file):
-        assert main(["--flow", "--no-baseline", str(clean_file)]) == 0
+        assert main(["--flow", str(clean_file)]) == 0
 
     def test_findings_exit_one(self, broken_file):
-        assert main(["--flow", "--no-baseline", str(broken_file)]) == 1
+        assert main(["--flow", str(broken_file)]) == 1
 
-    def test_repo_source_is_clean(self):
-        assert main(["--flow", "--no-baseline", str(REPO_SRC)]) == 0
+    def test_repo_source_is_clean(self, monkeypatch):
+        monkeypatch.chdir(REPO)
+        assert main(["--flow", *GATED]) == 0
+
+    @pytest.mark.parametrize(
+        "name", ["does_not_exist", "broken.txt"], ids=["missing", "not-py"]
+    )
+    def test_bad_target_exits_two(self, broken_file, name, capsys):
+        # A gate that checks zero files must not pass: a named target
+        # that is neither a directory nor a .py file is a usage error.
+        target = broken_file.parent / name
+        if name.endswith(".txt"):
+            target.write_text(broken_file.read_text())
+        assert main(["--flow", str(broken_file), str(target)]) == 2
+        assert name in capsys.readouterr().err
 
     def test_list_rules_exits_zero(self, capsys):
         assert main(["--flow", "--list-rules"]) == 0
@@ -60,14 +77,15 @@ class TestExitCodes:
 
 class TestJsonOutput:
     def test_schema_on_findings(self, broken_file, capsys):
-        code = main(["--flow", "--json", "--no-baseline", str(broken_file)])
+        code = main(["--flow", "--json", str(broken_file)])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert set(payload) == {
+            "version", "files_checked", "findings", "suppressed"
+        }
+        assert payload["version"] == 2
         assert payload["files_checked"] == 1
-        assert payload["baselined"] == 0
         assert payload["suppressed"] == 0
-        assert payload["stale_baseline_entries"] == 0
         (finding,) = payload["findings"]
         assert finding["rule"] == "div-guard"
         assert finding["path"] == str(broken_file)
@@ -77,95 +95,19 @@ class TestJsonOutput:
         assert finding["hint"]
 
     def test_schema_on_clean_tree(self, clean_file, capsys):
-        assert main(["--flow", "--json", "--no-baseline", str(clean_file)]) == 0
+        assert main(["--flow", "--json", str(clean_file)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"] == []
-
-    def test_format_json_matches_json_flag(self, broken_file, capsys):
-        main(["--flow", "--json", "--no-baseline", str(broken_file)])
-        via_alias = capsys.readouterr().out
-        main(["--flow", "--format", "json", "--no-baseline",
-              str(broken_file)])
-        via_format = capsys.readouterr().out
-        assert json.loads(via_alias) == json.loads(via_format)
-
-
-class TestSarifOutput:
-    def test_sarif_log_shape(self, broken_file, capsys):
-        code = main(["--flow", "--format", "sarif", "--no-baseline",
-                     str(broken_file)])
-        assert code == 1
-        log = json.loads(capsys.readouterr().out)
-        assert log["version"] == "2.1.0"
-        (run,) = log["runs"]
-        assert run["tool"]["driver"]["name"] == "flowcheck"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "div-guard" in rule_ids
-        assert "UNIT-MISMATCH" in rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "div-guard"
-        assert result["level"] == "error"
-        assert rule_ids[result["ruleIndex"]] == "div-guard"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("broken.py")
-        assert location["region"]["startLine"] == 3
-        assert result["partialFingerprints"]["flowcheck/v1"]
-
-    def test_sarif_on_clean_tree_has_no_results(self, clean_file, capsys):
-        assert main(["--flow", "--format", "sarif", "--no-baseline",
-                     str(clean_file)]) == 0
-        log = json.loads(capsys.readouterr().out)
-        assert log["runs"][0]["results"] == []
-
-    def test_typestate_rules_ship_help_text(self, clean_file, capsys):
-        # The catalog lists every rule even on a clean run, and the
-        # exception-flow/typestate rules carry long-form help so
-        # scanning UIs can explain the fix next to each result.
-        main(["--flow", "--format", "sarif", "--no-baseline",
-              str(clean_file)])
-        log = json.loads(capsys.readouterr().out)
-        rules = {r["id"]: r for r in log["runs"][0]["tool"]["driver"]["rules"]}
-        for rule_id in ("SPAN-LEAK", "SINK-FLUSH", "SWALLOWED-FAULT",
-                        "BREAKER-PROTOCOL"):
-            descriptor = rules[rule_id]
-            assert descriptor["shortDescription"]["text"]
-            assert descriptor["fullDescription"]["text"]
-            assert descriptor["help"]["text"]
-            assert len(descriptor["help"]["text"]) > 100
-
-    def test_span_leak_result_in_sarif(self, tmp_path, capsys):
-        leaky = tmp_path / "leaky.py"
-        leaky.write_text(textwrap.dedent("""
-            def read_all(path):
-                handle = open(path, "r")
-                data = handle.read()
-                handle.close()
-                return data
-        """))
-        code = main(["--flow", "--format", "sarif", "--no-baseline",
-                     str(leaky)])
-        assert code == 1
-        log = json.loads(capsys.readouterr().out)
-        (run,) = log["runs"]
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        (result,) = run["results"]
-        assert result["ruleId"] == "SPAN-LEAK"
-        assert rule_ids[result["ruleIndex"]] == "SPAN-LEAK"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("leaky.py")
-        assert location["region"]["startLine"] == 3
-        assert result["partialFingerprints"]["flowcheck/v1"]
 
 
 class TestReportFile:
     def test_report_written_alongside_human_output(self, broken_file,
                                                    tmp_path, capsys):
         report = tmp_path / "report.json"
-        code = main(["--flow", "--no-baseline", "--report", str(report),
-                     str(broken_file)])
+        code = main(["--flow", "--report", str(report), str(broken_file)])
         assert code == 1
         payload = json.loads(report.read_text())
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["findings"][0]["rule"] == "div-guard"
         # stdout stays human-readable: not JSON.
         out = capsys.readouterr().out
@@ -182,166 +124,12 @@ class TestSuppressionViaCli:
             "    return 8.0 / bandwidth_mbps"
             "  # flowcheck: ignore[div-guard] -- test\n"
         )
-        assert main(["--flow", "--json", "--no-baseline", str(path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["--flow", "--json", str(path)]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert payload["findings"] == []
         assert payload["suppressed"] == 1
-
-
-class TestBaseline:
-    def test_write_then_check_round_trips(self, broken_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "--flow", "--write-baseline", "--baseline", str(baseline),
-            str(broken_file),
-        ]) == 0
-        payload = json.loads(baseline.read_text())
-        assert payload["version"] == 1
-        (entry,) = payload["entries"]
-        assert entry["rule"] == "div-guard"
-        assert entry["justification"]
-
-        # The same finding is now baselined: exit 0, nothing fresh.
-        assert main([
-            "--flow", "--baseline", str(baseline), str(broken_file)
-        ]) == 0
-
-    def test_new_finding_still_fails_with_baseline(self, broken_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(broken_file)])
-        broken_file.write_text(
-            textwrap.dedent(BROKEN)
-            + "\n\ndef g(latency_ms):\n    return 1.0 / latency_ms\n"
+        assert captured.err.strip() == (
+            "flowcheck: 1 file(s), 0 finding(s), 1 suppressed"
         )
-        assert main([
-            "--flow", "--baseline", str(baseline), str(broken_file)
-        ]) == 1
 
-    def test_stale_entries_warned_not_fatal(self, broken_file, tmp_path,
-                                            capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(broken_file)])
-        broken_file.write_text(
-            "def f(bandwidth_mbps):\n"
-            "    if bandwidth_mbps <= 0:\n"
-            "        raise ValueError('bad')\n"
-            "    return 8.0 / bandwidth_mbps\n"
-        )
-        assert main([
-            "--flow", "--json", "--baseline", str(baseline), str(broken_file)
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["stale_baseline_entries"] == 1
-
-    def test_malformed_baseline_exits_two(self, broken_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"version": 99}')
-        assert main([
-            "--flow", "--baseline", str(baseline), str(broken_file)
-        ]) == 2
-
-    def test_no_baseline_flag_ignores_file(self, broken_file, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(broken_file)])
-        assert main([
-            "--flow", "--no-baseline", "--baseline", str(baseline),
-            str(broken_file),
-        ]) == 1
-
-    def test_stale_warning_mentions_prune_flag(self, broken_file, tmp_path,
-                                               capsys):
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(broken_file)])
-        broken_file.write_text("def _f(x):\n    return x\n")
-        assert main([
-            "--flow", "--baseline", str(baseline), str(broken_file)
-        ]) == 0
-        assert "--prune-baseline" in capsys.readouterr().err
-
-    def test_prune_baseline_drops_stale_keeps_live(self, tmp_path, capsys):
-        # Two findings baselined; one gets fixed; prune drops only the
-        # fixed entry and preserves the survivor's edited justification.
-        source = tmp_path / "code.py"
-        source.write_text(textwrap.dedent("""
-            def f(bandwidth_mbps):
-                return 8.0 / bandwidth_mbps
-
-            def g(latency_ms):
-                return 1.0 / latency_ms
-        """))
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(source)])
-        payload = json.loads(baseline.read_text())
-        assert len(payload["entries"]) == 2
-        for entry in payload["entries"]:
-            if "bandwidth" in entry["message"]:
-                entry["justification"] = "reviewed: upstream guard"
-        baseline.write_text(json.dumps(payload))
-
-        source.write_text(textwrap.dedent("""
-            def f(bandwidth_mbps):
-                return 8.0 / bandwidth_mbps
-        """))
-        assert main([
-            "--flow", "--prune-baseline", "--baseline", str(baseline),
-            str(source),
-        ]) == 0
-        assert "pruned 1 stale" in capsys.readouterr().err
-        payload = json.loads(baseline.read_text())
-        (entry,) = payload["entries"]
-        assert "bandwidth" in entry["message"]
-        assert entry["justification"] == "reviewed: upstream guard"
-
-        # A second prune is a no-op: nothing stale, file untouched.
-        before = baseline.read_text()
-        assert main([
-            "--flow", "--prune-baseline", "--baseline", str(baseline),
-            str(source),
-        ]) == 0
-        assert baseline.read_text() == before
-
-    def test_prune_baseline_drops_fixed_span_leak(self, tmp_path, capsys):
-        # The typestate rules round-trip through the baseline workflow
-        # exactly like the dataflow ones: baseline a SPAN-LEAK, fix the
-        # leak, prune drops the now-stale entry.
-        source = tmp_path / "leaky.py"
-        source.write_text(textwrap.dedent("""
-            def read_all(path):
-                handle = open(path, "r")
-                data = handle.read()
-                handle.close()
-                return data
-        """))
-        baseline = tmp_path / "baseline.json"
-        main(["--flow", "--write-baseline", "--baseline", str(baseline),
-              str(source)])
-        payload = json.loads(baseline.read_text())
-        assert [e["rule"] for e in payload["entries"]] == ["SPAN-LEAK"]
-        assert main([
-            "--flow", "--baseline", str(baseline), str(source)
-        ]) == 0
-
-        source.write_text(textwrap.dedent("""
-            def read_all(path):
-                with open(path, "r") as handle:
-                    return handle.read()
-        """))
-        assert main([
-            "--flow", "--prune-baseline", "--baseline", str(baseline),
-            str(source),
-        ]) == 0
-        assert "pruned 1 stale" in capsys.readouterr().err
-        assert json.loads(baseline.read_text())["entries"] == []
-
-    def test_checked_in_baseline_is_valid(self):
-        checked_in = Path(__file__).resolve().parents[2] / (
-            "flowcheck-baseline.json"
-        )
-        payload = json.loads(checked_in.read_text())
-        assert payload["version"] == 1
-        assert payload["entries"] == []

@@ -1,6 +1,6 @@
-"""Concurrency-safety goldens: SHARED-MUTABLE / WORKER-RNG /
-WALLCLOCK-SPAN, and the ``@worker_safe`` reachability that scopes the
-first two (pre-clearing the multiprocessing fan-out, ROADMAP item 3).
+"""Concurrency-safety goldens: SHARED-MUTABLE / WORKER-RNG and the
+``@worker_safe`` reachability that scopes them (pre-clearing the
+multiprocessing fan-out, ROADMAP item 3).
 """
 
 import textwrap
@@ -142,37 +142,6 @@ class TestWorkerRng:
                 return rng.normal(size=n)
             """
         assert "WORKER-RNG" not in rules(src)
-
-
-class TestWallClockSpan:
-    def test_time_time_span_fires(self):
-        src = """
-            import time
-
-            def _measure(work):
-                start = time.time()  # flowcheck: ignore[monotonic-clock] -- span test
-                work()
-                return time.time() - start  # flowcheck: ignore[monotonic-clock] -- span test
-            """
-        assert "WALLCLOCK-SPAN" in rules(src)
-
-    def test_perf_counter_span_silent(self):
-        src = """
-            import time
-
-            def _measure(work):
-                start = time.perf_counter()
-                work()
-                return time.perf_counter() - start
-            """
-        assert "WALLCLOCK-SPAN" not in rules(src)
-
-    def test_subtracting_unrelated_values_silent(self):
-        src = """
-            def _delta(end_ms, start_ms):
-                return end_ms - start_ms
-            """
-        assert "WALLCLOCK-SPAN" not in rules(src)
 
 
 class TestWorkerSafeRuntimeHelpers:

@@ -1,14 +1,24 @@
 """Flowcheck rule goldens: each rule fires on a broken snippet and stays
 silent on idiomatic repo code."""
 
+import io
+import re
+import shutil
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.flowcheck import check_paths, check_source
 
-REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+REPO = Path(__file__).resolve().parents[2]
+REPO_SRC = REPO / "src" / "repro"
+
+#: What ``make flowcheck`` gates, relative to the repo root.
+GATED = ("src/repro", "benchmarks", "examples")
+
+_PRAGMA = re.compile(r"#\s*flowcheck:\s*ignore\[([^\]]+)\]")
 
 
 def findings(source, path="src/repro/latency/sample.py"):
@@ -357,23 +367,68 @@ class TestMonotonicClock:
             """
         assert "monotonic-clock" not in rules(src)
 
-    def test_perf_package_exempt(self):
+    def test_perf_package_fires(self):
         src = """
             import time
 
             def f():
                 return time.time()
             """
-        assert rules(src, path="src/repro/perf/sample.py") == []
+        assert rules(src, path="src/repro/perf/sample.py") == [
+            "monotonic-clock"
+        ]
 
-    def test_obs_package_exempt(self):
+    def test_obs_package_fires(self):
         src = """
             import time
 
             def f():
                 return time.time()
             """
-        assert rules(src, path="src/repro/obs/sample.py") == []
+        assert rules(src, path="src/repro/obs/sample.py") == [
+            "monotonic-clock"
+        ]
+
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            (
+                """
+                import time
+
+                def _measure(work):
+                    start = time.time()
+                    work()
+                    return time.time() - start
+                """,
+                2,
+            ),
+            (
+                """
+                import time
+
+                def _measure(work):
+                    start = time.perf_counter()
+                    work()
+                    return time.perf_counter() - start
+                """,
+                0,
+            ),
+            (
+                """
+                def _delta(end_ms, start_ms):
+                    return end_ms - start_ms
+                """,
+                0,
+            ),
+        ],
+        ids=["time-time-span", "perf-counter-span", "unrelated-subtraction"],
+    )
+    def test_span_goldens(self, src, expected):
+        # Span math is flagged through its time.time() reads, in every
+        # package — perf/obs included.
+        for path in ("src/repro/latency/sample.py", "src/repro/perf/s.py"):
+            assert rules(src, path=path).count("monotonic-clock") == expected
 
     def test_unrelated_time_method_silent(self):
         src = """
@@ -461,12 +516,15 @@ class TestSuppression:
             """
         assert "div-guard" in rules(src)
 
-    def test_bare_pragma_suppresses_everything(self):
+    def test_bare_pragma_suppresses_nothing(self):
+        # A pragma must name its rules; the bare form is not a pragma.
         src = """
             def _f(bandwidth_mbps):
                 return 8.0 / bandwidth_mbps  # flowcheck: ignore
             """
-        assert rules(src) == []
+        result = check_source(textwrap.dedent(src), "src/repro/latency/s.py")
+        assert [f.rule for f in result.findings] == ["div-guard"]
+        assert result.suppressed == 0
 
     def test_multi_rule_pragma_on_one_line(self):
         # One comment, several rules — and matching is case-insensitive,
@@ -515,3 +573,41 @@ class TestRepoIsClean:
         result = check_paths([REPO_SRC])
         assert result.sorted_findings() == []
         assert result.files_checked > 50
+
+    def test_every_pragma_names_a_live_finding(self, tmp_path, monkeypatch):
+        # Strip every pragma comment from a copy of the gated tree: the
+        # engine must then report exactly the (rule, path, line) triples
+        # the pragmas named — no pragma is dead, none hides a second
+        # finding. A pragma names the line its comment sits on.
+        named = set()
+        for top in GATED:
+            shutil.copytree(
+                REPO / top,
+                tmp_path / top,
+                ignore=shutil.ignore_patterns("__pycache__"),
+            )
+            for file in sorted((tmp_path / top).rglob("*.py")):
+                source = file.read_text()
+                lines = source.splitlines(keepends=True)
+                tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+                for token in tokens:
+                    match = _PRAGMA.match(token.string)
+                    if token.type != tokenize.COMMENT or not match:
+                        continue
+                    row, col = token.start
+                    lines[row - 1] = lines[row - 1][:col].rstrip() + "\n"
+                    rel = file.relative_to(tmp_path).as_posix()
+                    for rule in match.group(1).split(","):
+                        named.add((rule.strip().lower(), rel, row))
+                file.write_text("".join(lines))
+        assert named, "the gated tree carries no pragmas to check"
+
+        monkeypatch.chdir(tmp_path)
+        result = check_paths(GATED)
+        assert result.suppressed == 0
+        found = [
+            (f.rule.lower(), Path(f.path).as_posix(), f.line)
+            for f in result.findings
+        ]
+        assert set(found) == named
+        assert len(found) == len(named)
