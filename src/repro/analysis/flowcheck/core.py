@@ -116,10 +116,16 @@ class ModuleInfo:
 
     @property
     def package_parts(self) -> Tuple[str, ...]:
-        """Path components below ``repro`` (for package-scoped rules)."""
+        """Path components below ``repro`` (for package-scoped rules).
+
+        The package root is the deepest ``repro`` directory on the path,
+        so a checkout that is itself named ``repro`` still finds it. A
+        file outside the package keeps its whole path.
+        """
         parts = Path(self.path).parts
-        if "repro" in parts:
-            return parts[parts.index("repro") + 1 :]
+        dirs = parts[:-1]
+        if "repro" in dirs:
+            return parts[len(dirs) - dirs[::-1].index("repro") :]
         return parts
 
     @property
@@ -147,6 +153,13 @@ class ModuleInfo:
         """True when the module lives under repro/<name>/ for any name."""
         parts = self.package_parts
         return bool(parts) and parts[0] in names
+
+    def under_directory(self, *names: str) -> bool:
+        """True when a directory named one of ``names`` holds the module:
+        anywhere on the path of a file outside the ``repro`` package, below
+        the package root for one inside it. Unlike :meth:`in_package` this
+        holds for absolute and relative paths alike."""
+        return any(part in names for part in self.package_parts[:-1])
 
     def resolve(self, node: ast.expr) -> str:
         """Fully qualified dotted name of an expression, '' when unknown.

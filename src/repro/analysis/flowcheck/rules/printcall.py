@@ -5,8 +5,9 @@ serving deployment controls verbosity and destinations; raw ``print``
 output is reserved for the entry points that own a terminal:
 
 - anything under ``repro/experiments/`` (figure/table regeneration),
-- top-level ``benchmarks/`` and ``examples/`` scripts, whose entire
-  job is terminal output,
+- scripts under a ``benchmarks/`` or ``examples/`` directory outside
+  the package, whose entire job is terminal output (the path may be
+  relative or absolute),
 - ``__main__.py`` CLI modules,
 - a function literally named ``main`` (the CLI convention in this
   repo).
@@ -34,7 +35,8 @@ class PrintCallRule:
 
     def check(self, module: ModuleInfo, report) -> None:
         if (
-            module.in_package("experiments", "benchmarks", "examples")
+            module.in_package("experiments")
+            or module.under_directory("benchmarks", "examples")
             or module.basename == "__main__.py"
         ):
             return

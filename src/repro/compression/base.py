@@ -23,6 +23,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..model.spec import LayerSpec, LayerType, ModelSpec
 
 
@@ -122,3 +124,19 @@ class TechniqueRegistry:
     def applicable(self, spec: ModelSpec, index: int) -> List[CompressionTechnique]:
         """Techniques applicable to layer ``index`` (identity always first)."""
         return [t for t in self._techniques.values() if t.applies_to(spec, index)]
+
+    def applicability(self, spec: ModelSpec, names: Sequence[str]) -> np.ndarray:
+        """(layers, len(names)) bool: technique ``names[j]`` applies to layer
+        ``i`` — :meth:`applicable` for every layer at once. A name not in
+        the registry applies nowhere."""
+        mask = np.zeros((len(spec), len(names)), dtype=bool)
+        for j, name in enumerate(names):
+            technique = self._techniques.get(name)
+            if technique is None:
+                continue
+            types = technique.applicable_types
+            for i, layer in enumerate(spec.layers):
+                # applies_to's own first test, hoisted to skip the call.
+                if layer.layer_type in types and technique.applies_to(spec, i):
+                    mask[i, j] = True
+        return mask

@@ -24,6 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -129,15 +130,31 @@ class LayerSpec:
         return self.layer_type in COMPRESSIBLE_LAYER_TYPES
 
     def to_dict(self) -> Dict[str, object]:
-        data = dataclasses.asdict(self)
+        # ``dataclasses.asdict`` without its recursive deep copy: every
+        # field holds an immutable scalar, so the dicts are equal.
+        data = {name: getattr(self, name) for name in _LAYER_FIELDS}
         data["layer_type"] = self.layer_type.value
         return data
+
+    @cached_property
+    def fingerprint_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, computed once.
+
+        The layer's fragment of :func:`compute_fingerprint`'s payload. The
+        spec is frozen, so the fragment can never go stale;
+        ``cached_property`` stores it in the instance ``__dict__``, which
+        leaves the dataclass fields, equality and hash untouched.
+        """
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerSpec":
         data = dict(data)
         data["layer_type"] = LayerType(data["layer_type"])
         return cls(**data)  # type: ignore[arg-type]
+
+
+_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerSpec))
 
 
 @dataclass(frozen=True)
@@ -158,6 +175,16 @@ class TensorShape:
     @property
     def num_bytes(self) -> int:
         return self.num_values * BYTES_PER_VALUE
+
+    @cached_property
+    def fingerprint_json(self) -> str:
+        """``json.dumps(asdict(self), sort_keys=True)``, computed once."""
+        return json.dumps(
+            {name: getattr(self, name) for name in _SHAPE_FIELDS}, sort_keys=True
+        )
+
+
+_SHAPE_FIELDS = tuple(f.name for f in dataclasses.fields(TensorShape))
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -245,19 +272,20 @@ def layer_parameter_count(layer: LayerSpec, in_channels: int) -> int:
 
 
 def compute_fingerprint(spec: "ModelSpec") -> str:
-    """Serialize-and-hash a spec's structure (input shape + layers).
+    """Hash a spec's structure (input shape + layers) for the memo pool.
 
-    This is the raw, *uncached* computation — O(layers) JSON serialization
-    plus a SHA-256 — exposed separately so benchmarks can compare it against
-    the cached :meth:`ModelSpec.fingerprint` path. Library code should call
-    the method, never this function.
+    The hashed payload is, byte for byte, the sorted-key JSON document
+    ``{"input": asdict(input_shape), "layers": [layer.to_dict(), ...]}``:
+    artifacts stamped with these fingerprints and the accuracy surrogate,
+    which seeds its jitter from the hex value, both depend on it. The
+    document is assembled from each layer's and the shape's cached
+    ``fingerprint_json`` fragment rather than re-serialized, so a call
+    costs one join and one SHA-256. :meth:`ModelSpec.fingerprint` caches
+    the result per spec.
     """
-    payload = json.dumps(
-        {
-            "input": dataclasses.asdict(spec.input_shape),
-            "layers": [layer.to_dict() for layer in spec.layers],
-        },
-        sort_keys=True,
+    layers = ", ".join([layer.fingerprint_json for layer in spec.layers])
+    payload = (
+        f'{{"input": {spec.input_shape.fingerprint_json}, "layers": [{layers}]}}'
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -276,17 +304,35 @@ class ModelSpec:
         input_shape: TensorShape,
         name: str = "model",
     ) -> None:
-        self.layers: Tuple[LayerSpec, ...] = tuple(layers)
-        self.input_shape = input_shape
+        layers = tuple(layers)
+        shapes = [input_shape]
+        for layer in layers:
+            shapes.append(infer_output_shape(layer, shapes[-1]))
+        self._assign(layers, shapes, name)
+
+    def _assign(
+        self, layers: Tuple[LayerSpec, ...], shapes: List[TensorShape], name: str
+    ) -> None:
+        self.layers: Tuple[LayerSpec, ...] = layers
+        self.input_shape = shapes[0]
         self.name = name
         self._fingerprint: Optional[str] = None  # computed lazily, then cached
         # Latency-model caches, filled lazily by ``model_macc_entries`` and
         # ``DeviceProfile.model_latency_ms``.
         self._macc_entries: Optional[Tuple[MaccEntry, ...]] = None
         self._latency_ms: Optional[Dict[int, Tuple[DeviceProfile, float]]] = None
-        self._shapes: List[TensorShape] = [input_shape]
-        for layer in self.layers:
-            self._shapes.append(infer_output_shape(layer, self._shapes[-1]))
+        self._shapes: List[TensorShape] = shapes
+
+    @classmethod
+    def _inferred(
+        cls, layers: Tuple[LayerSpec, ...], shapes: List[TensorShape], name: str
+    ) -> "ModelSpec":
+        """A spec whose shapes are already known: a slice or a join of
+        specs that were shape-checked when they were built. Shape inference
+        is deterministic, so the shared shapes equal re-inferred ones."""
+        spec = cls.__new__(cls)
+        spec._assign(layers, shapes, name)
+        return spec
 
     # -- basics ----------------------------------------------------------
     def __len__(self) -> int:
@@ -356,10 +402,11 @@ class ModelSpec:
     def fingerprint(self) -> str:
         """Stable hash for the memoization pool (Sec. VII-A 'memory pool').
 
-        Computed once and cached: a spec is immutable (every surgery method
-        returns a *new* spec), and the search hot path fingerprints the same
-        objects thousands of times per episode. The name is deliberately
-        excluded, so renamed copies of the same structure share a key.
+        :func:`compute_fingerprint` of this spec, computed on first use and
+        cached: a spec is immutable (every surgery method returns a *new*
+        spec), and the search hot path looks up the same objects thousands
+        of times per episode. The name is deliberately excluded, so renamed
+        copies of the same structure share a key.
         """
         if self._fingerprint is None:
             self._fingerprint = compute_fingerprint(self)
@@ -381,11 +428,12 @@ class ModelSpec:
 
     def slice(self, start: int, stop: int, name: Optional[str] = None) -> "ModelSpec":
         """Sub-model covering layers [start, stop) with the right input shape."""
-        return ModelSpec(
-            self.layers[start:stop],
-            self._shapes[start],
-            name=name or f"{self.name}[{start}:{stop}]",
-        )
+        name = name or f"{self.name}[{start}:{stop}]"
+        if 0 <= start <= stop <= len(self.layers):
+            return ModelSpec._inferred(
+                self.layers[start:stop], self._shapes[start : stop + 1], name
+            )
+        return ModelSpec(self.layers[start:stop], self._shapes[start], name=name)
 
     def concatenate(self, other: "ModelSpec", name: Optional[str] = None) -> "ModelSpec":
         """Append ``other`` (whose input shape must match our output)."""
@@ -394,10 +442,10 @@ class ModelSpec:
                 f"cannot concatenate: output {self.output_shape} != "
                 f"input {other.input_shape}"
             )
-        return ModelSpec(
+        return ModelSpec._inferred(
             self.layers + other.layers,
-            self.input_shape,
-            name=name or f"{self.name}+{other.name}",
+            self._shapes + other._shapes[1:],
+            name or f"{self.name}+{other.name}",
         )
 
     # -- (de)serialization ------------------------------------------------

@@ -8,7 +8,9 @@ before layer 0..L−1, or the L+1-th "no partition" option — Sec. VII-A). The
 registry, with inapplicable techniques masked out.
 
 Sampling returns both the drawn action and its log-probability tensor so
-REINFORCE gradients flow back through the LSTM.
+REINFORCE gradients flow back through the LSTM. All draws from one
+backbone pass share one :class:`CategoricalHead` tape node; the per-row
+log-probs and entropies are scalar views into it.
 
 Both controllers expose a batched entry point (``sample_batch``): N
 requests against the same block — the K same-block-different-bandwidth
@@ -28,32 +30,100 @@ import numpy as np
 
 from ..compression.base import TechniqueRegistry
 from ..model.spec import ModelSpec
-from ..nn import functional as F
 from ..nn.init import xavier_uniform
 from ..nn.layers import Module
 from ..nn.rnn import BiLSTM
-from ..nn.tensor import Tensor, concatenate
+from ..nn.tensor import ScalarView, Tensor, concatenate
 from .encoding import ENCODING_WIDTH, encode_model
 
 NO_PARTITION = -1  # sentinel action: keep the whole block on the edge
 
 
-def _sample_from_logits(
-    logits: Tensor, rng: np.random.Generator, mask: Optional[np.ndarray] = None
-) -> Tuple[int, Tensor, Tensor]:
-    """Sample from masked logits; return (index, log-prob, entropy tensors).
+class CategoricalHead:
+    """Every categorical draw of one backbone pass as a single tape node.
 
-    The entropy of the (masked) distribution supports the optional
-    exploration bonus in :class:`~repro.rl.reinforce.ReinforceTrainer`.
+    ``logits`` is a backbone pass's logits tensor, of shape (..., C);
+    ``rows`` picks the rows of ``logits.reshape(-1, C)`` that are drawn
+    from, and ``mask`` (one boolean row per picked row) masks inapplicable
+    actions to -1e9. The masked log-softmax, the probabilities and the
+    entropies of all picked rows are computed at once in numpy. Then
+    :meth:`draw` samples (or :meth:`force` fixes) each row's action, in
+    whatever order the caller's RNG stream requires.
+
+    ``node`` holds, per row, the drawn action's log-prob and the entropy.
+    :meth:`log_prob` and :meth:`entropy` hand them out as
+    :class:`~repro.nn.tensor.ScalarView` scalars. Its backward is
+    hand-written and tape-exact: it repeats, for all rows at once, the
+    expressions that ``log_softmax``, ``exp``, the entropy's
+    ``-(p * log_p).sum()`` and the log-prob index would record per row,
+    in the order the tape would accumulate them. Every row sits in its own
+    slot of ``logits``, so the rows' gradients never sum with each other.
+    The logits gradient is therefore bit-identical to that of the per-row
+    nodes.
     """
-    if mask is not None:
-        logits = logits + Tensor(np.where(mask, 0.0, -1e9))
-    log_probs = F.log_softmax(logits, axis=-1)
-    probs_t = log_probs.exp()
-    entropy = -(probs_t * log_probs).sum()
-    probs = probs_t.data / probs_t.data.sum()  # flowcheck: ignore[div-guard] -- softmax probs sum to ~1; renormalizes fp error for rng.choice
-    index = int(rng.choice(len(probs), p=probs))
-    return index, log_probs[index], entropy
+
+    def __init__(
+        self,
+        logits: Tensor,
+        rows: Sequence[int],
+        mask: Optional[np.ndarray] = None,
+    ) -> None:
+        width = logits.shape[-1]
+        flat_shape = (logits.data.size // width, width)
+        x = logits.data.reshape(flat_shape)[rows]
+        if mask is not None:
+            x = x + np.where(mask, 0.0, -1e9)
+        shifted = x + -x.max(axis=-1, keepdims=True)
+        exp_shifted = np.exp(shifted)
+        # Each row's maximum contributes exp(0) = 1, so ``total >= 1`` and
+        # the clamp below never changes a value.
+        total = exp_shifted.sum(axis=-1, keepdims=True)
+        log_probs = shifted + -np.log(np.maximum(total, 1.0))
+        probs = np.exp(log_probs)
+        values = np.zeros((len(x), 2))
+        values[:, 1] = -(probs * log_probs).sum(axis=-1)
+        self.log_probs = log_probs
+        # Renormalized so each row sums to 1 within rng.choice's tolerance.
+        self.probs = probs / probs.sum(axis=-1, keepdims=True)  # flowcheck: ignore[div-guard] -- softmax probs sum to ~1; renormalizes fp error for rng.choice
+        self.chosen = np.zeros(len(x), dtype=np.intp)
+        chosen = self.chosen
+
+        def backward(grad: np.ndarray) -> None:
+            # The index node: onehot of the log-prob's upstream gradient.
+            log_probs_grad = np.zeros(x.shape)
+            log_probs_grad[np.arange(len(x)), chosen] += grad[:, 0]
+            entropy_grad = grad[:, 1:]
+            if entropy_grad.any():
+                # -(p * log_p).sum(): the product node first, then exp.
+                product_grad = np.broadcast_to(-entropy_grad, x.shape)
+                log_probs_grad = log_probs_grad + product_grad * probs
+                log_probs_grad = log_probs_grad + (product_grad * log_probs) * probs
+            # log_softmax: shifted - log(sum(exp(shifted))).
+            sum_grad = -log_probs_grad.sum(axis=-1, keepdims=True) / total
+            shifted_grad = log_probs_grad + sum_grad * exp_shifted
+            full = np.zeros(flat_shape)
+            full[rows] += shifted_grad
+            logits._accumulate(full.reshape(logits.shape))
+
+        self.node = Tensor._make(values, (logits,), backward)
+
+    def draw(self, row: int, rng: np.random.Generator) -> int:
+        """Sample row ``row``'s action: one ``rng.choice`` over its probs."""
+        probs = self.probs[row]
+        index = int(rng.choice(len(probs), p=probs))
+        self.force(row, index)
+        return index
+
+    def force(self, row: int, index: int) -> None:
+        """Take action ``index`` in row ``row`` without sampling."""
+        self.chosen[row] = index
+        self.node.data[row, 0] = self.log_probs[row, index]
+
+    def log_prob(self, row: int) -> ScalarView:
+        return ScalarView(self.node, (row, 0))
+
+    def entropy(self, row: int) -> ScalarView:
+        return ScalarView(self.node, (row, 1))
 
 
 class PartitionController(Module):
@@ -124,17 +194,17 @@ class PartitionController(Module):
         flags = list(force_flags) if force_flags is not None else [False] * n
         if len(flags) != n:
             raise ValueError("force_flags length must match bandwidths_mbps")
-        logits = self.logits_batch(spec, bandwidths_mbps)
+        head = CategoricalHead(self.logits_batch(spec, bandwidths_mbps), range(n))
         length = len(spec)
         results: List[Tuple[int, Tensor, Optional[Tensor]]] = []
         for row in range(n):
             if flags[row]:
-                log_probs = F.log_softmax(logits[row], axis=-1)
-                results.append((NO_PARTITION, log_probs[length], None))
+                head.force(row, length)
+                results.append((NO_PARTITION, head.log_prob(row), None))
                 continue
-            index, log_prob, entropy = _sample_from_logits(logits[row], rng)
+            index = head.draw(row, rng)
             cut = NO_PARTITION if index == length else index
-            results.append((cut, log_prob, entropy))
+            results.append((cut, head.log_prob(row), head.entropy(row)))
         return results
 
     def sample(
@@ -200,12 +270,13 @@ class CompressionController(Module):
             bias[self.technique_names.index("ID")] = 2.0
         self.head_bias = Tensor(bias, requires_grad=True, name="compression.head_bias")
 
-    def _applicable_mask(self, spec: ModelSpec, layer: int) -> np.ndarray:
-        applicable = {t.name for t in self.registry.applicable(spec, layer)}
-        return np.array([n in applicable for n in self.technique_names])
+    def _applicable_mask(self, spec: ModelSpec) -> np.ndarray:
+        """(T, C): which techniques apply to which layer of ``spec``."""
+        return self.registry.applicability(spec, self.technique_names)
 
-    def _sole_applicable_name(self, mask: np.ndarray) -> str:
-        """The action for a layer with at most one applicable technique.
+    def _sole_applicable_names(self, mask: np.ndarray) -> List[str]:
+        """Per layer, the action for a layer with at most one applicable
+        technique (the other rows' entries are meaningless).
 
         Nothing is sampled (a one-arm distribution carries no gradient
         signal), but the emitted name must be the technique that actually
@@ -213,9 +284,10 @@ class CompressionController(Module):
         the sole applicable transform whenever identity was masked out.
         ``"ID"`` remains the no-op fallback when *nothing* applies.
         """
-        if mask.any():
-            return self.technique_names[int(np.argmax(mask))]
-        return "ID"
+        return [
+            self.technique_names[int(column)] if applies else "ID"
+            for column, applies in zip(mask.argmax(axis=1), mask.any(axis=1))
+        ]
 
     def sample_batch(
         self,
@@ -233,11 +305,21 @@ class CompressionController(Module):
         """
         if len(specs) != len(bandwidths_mbps):
             raise ValueError("specs and bandwidths_mbps must have equal length")
-        logits_rows: List[Optional[Tensor]] = [None] * len(specs)
+        masks = [self._applicable_mask(spec) for spec in specs]
         groups: Dict[int, List[int]] = {}
         for i, spec in enumerate(specs):
             groups.setdefault(len(spec), []).append(i)
-        for indices in groups.values():
+        # (request, layer) -> (head, row) for every layer with a real choice.
+        slots: Dict[Tuple[int, int], Tuple[CategoricalHead, int]] = {}
+        for length, indices in groups.items():
+            rows: List[int] = []
+            keys: List[Tuple[int, int]] = []
+            for j, i in enumerate(indices):
+                for layer in np.flatnonzero(masks[i].sum(axis=1) > 1):
+                    rows.append(j * length + int(layer))
+                    keys.append((i, int(layer)))
+            if not rows:
+                continue  # nothing to sample: no backbone pass needed
             encoded = Tensor(
                 np.concatenate(
                     [
@@ -249,25 +331,23 @@ class CompressionController(Module):
             )
             hidden = self.backbone(encoded)  # (n, T, width)
             all_logits = hidden.matmul(self.head) + self.head_bias  # (n, T, C)
-            for j, i in enumerate(indices):
-                logits_rows[i] = all_logits[j]
+            row_mask = np.array([masks[i][layer] for i, layer in keys])
+            head = CategoricalHead(all_logits, rows, row_mask)
+            for row, key in enumerate(keys):
+                slots[key] = (head, row)
         results: List[Tuple[List[str], List[Tensor], List[Tensor]]] = []
         for i, spec in enumerate(specs):
-            layer_logits = logits_rows[i]
-            names: List[str] = []
+            names = self._sole_applicable_names(masks[i])
             log_probs: List[Tensor] = []
             entropies: List[Tensor] = []
             for layer in range(len(spec)):
-                mask = self._applicable_mask(spec, layer)
-                if mask.sum() <= 1:
-                    names.append(self._sole_applicable_name(mask))
+                slot = slots.get((i, layer))
+                if slot is None:
                     continue
-                index, log_prob, entropy = _sample_from_logits(
-                    layer_logits[layer], rng, mask=mask
-                )
-                names.append(self.technique_names[index])
-                log_probs.append(log_prob)
-                entropies.append(entropy)
+                head, row = slot
+                names[layer] = self.technique_names[head.draw(row, rng)]
+                log_probs.append(head.log_prob(row))
+                entropies.append(head.entropy(row))
             results.append((names, log_probs, entropies))
         return results
 
@@ -294,12 +374,11 @@ class CompressionController(Module):
         encoded = Tensor(encode_model(spec, bandwidth_mbps))
         hidden = self.backbone(encoded)[0]
         all_logits = (hidden.matmul(self.head) + self.head_bias).data  # (T, C)
-        names = []
+        masks = self._applicable_mask(spec)
+        names = self._sole_applicable_names(masks)
         for i in range(len(spec)):
-            mask = self._applicable_mask(spec, i)
-            if mask.sum() <= 1:
-                names.append(self._sole_applicable_name(mask))
-                continue
-            logits = np.where(mask, all_logits[i], -1e9)
-            names.append(self.technique_names[int(np.argmax(logits))])
+            mask = masks[i]
+            if mask.sum() > 1:
+                logits = np.where(mask, all_logits[i], -1e9)
+                names[i] = self.technique_names[int(np.argmax(logits))]
         return names

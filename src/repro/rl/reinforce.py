@@ -17,7 +17,7 @@ import numpy as np
 
 from ..nn.layers import Module
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, weighted_sum
 from ..obs.trace import get_recorder
 
 
@@ -118,23 +118,31 @@ class ReinforceTrainer:
                 entropy=mean_entropy,
                 actions=len(log_probs),
             )
-        if not log_probs and not (entropies and self.entropy_coeff):
+        terms = self._loss_terms(log_probs, entropies, advantage)
+        if not terms:
             return advantage
-        loss = None
-        for log_prob in log_probs:
-            term = log_prob * (-advantage)
-            loss = term if loss is None else loss + term
+        self._step(weighted_sum(terms))
+        return advantage
+
+    def _loss_terms(
+        self,
+        log_probs: Sequence[Tensor],
+        entropies: Optional[Sequence[Tensor]],
+        advantage: float,
+    ) -> List[Tuple[Tensor, float]]:
+        """One episode's ``(tensor, weight)`` loss terms: every action's
+        ``log_prob * (-advantage)``, then (with ``entropy_coeff > 0``)
+        every entropy's ``entropy * (-entropy_coeff)``."""
+        terms = [(log_prob, -advantage) for log_prob in log_probs]
         if entropies and self.entropy_coeff > 0.0:
-            for entropy in entropies:
-                term = entropy * (-self.entropy_coeff)
-                loss = term if loss is None else loss + term
-        if loss is None:
-            return advantage
+            terms.extend((entropy, -self.entropy_coeff) for entropy in entropies)
+        return terms
+
+    def _step(self, loss: Tensor) -> None:
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.clip_grad_norm(self.max_grad_norm)
         self.optimizer.step()
-        return advantage
 
     def update_many(
         self,
@@ -168,21 +176,21 @@ class ReinforceTrainer:
         gradients with the baseline frozen at ``baseline_value`` — the
         property the batched-update equivalence test pins. ``loss`` is
         ``None`` when no episode carries a differentiable term.
+
+        The sum is one :func:`~repro.nn.tensor.weighted_sum` node: the
+        controllers' log-probs and entropies are views into one
+        categorical-head node per backbone pass, so the whole episode's
+        weights reach each head as one dense gradient. Its gradients are
+        bit-identical to the per-term ``*``/``+`` chain.
         """
-        loss: Optional[Tensor] = None
+        terms: List[Tuple[Tensor, float]] = []
         advantages: List[float] = []
         for episode in episodes:
             log_probs, reward, entropies = _unpack_episode(episode)
             advantage = (reward - baseline_value) * self.reward_scale
             advantages.append(advantage)
-            for log_prob in log_probs:
-                term = log_prob * (-advantage)
-                loss = term if loss is None else loss + term
-            if entropies and self.entropy_coeff > 0.0:
-                for entropy in entropies:
-                    term = entropy * (-self.entropy_coeff)
-                    loss = term if loss is None else loss + term
-        return loss, advantages
+            terms.extend(self._loss_terms(log_probs, entropies, advantage))
+        return (weighted_sum(terms) if terms else None), advantages
 
     def update_episode(self, episodes: Sequence[Tuple]) -> List[float]:
         """All of one search episode's node updates as a single Adam step.
@@ -225,10 +233,7 @@ class ReinforceTrainer:
                 )
         loss, advantages = self.episode_loss(episodes, baseline_value)
         if loss is not None:
-            self.optimizer.zero_grad()
-            loss.backward()
-            self.optimizer.clip_grad_norm(self.max_grad_norm)
-            self.optimizer.step()
+            self._step(loss)
         return advantages
 
 

@@ -12,8 +12,7 @@ from repro.analysis.__main__ import main
 REPO = Path(__file__).resolve().parents[2]
 
 #: What ``make flowcheck`` (and the CI lint job) gates, relative to the
-#: repo root: path-scoped rules (print-call's benchmarks/examples
-#: carve-out) key on the leading path component.
+#: repo root.
 GATED = ("src/repro", "benchmarks", "examples")
 
 CLEAN = """
@@ -51,6 +50,15 @@ class TestExitCodes:
     def test_repo_source_is_clean(self, monkeypatch):
         monkeypatch.chdir(REPO)
         assert main(["--flow", *GATED]) == 0
+
+    def test_script_dirs_clean_by_absolute_path(self, tmp_path, monkeypatch, capsys):
+        # Regression: print-call's benchmarks/examples carve-out keyed on
+        # the leading path component, so absolute targets from another
+        # working directory reported every script's print() (22 findings).
+        monkeypatch.chdir(tmp_path)
+        targets = [str(REPO / "benchmarks"), str(REPO / "examples")]
+        assert main(["--flow", "--json", *targets]) == 0
+        assert json.loads(capsys.readouterr().out)["findings"] == []
 
     @pytest.mark.parametrize(
         "name", ["does_not_exist", "broken.txt"], ids=["missing", "not-py"]

@@ -322,6 +322,30 @@ class TestPrintCall:
             """
         assert rules(src, path="src/repro/experiments/sample.py") == []
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "benchmarks/test_bench_memo.py",
+            "/abs/checkout/benchmarks/e2e/run.py",
+            "/abs/checkout/examples/quickstart.py",
+            "/home/user/repro/benchmarks/test_bench_memo.py",  # checkout named repro
+        ],
+    )
+    def test_script_directories_exempt_by_any_path(self, path):
+        src = """
+            def f(x):
+                print(x)
+            """
+        assert "print-call" not in rules(src, path=path)
+
+    def test_library_under_a_script_named_checkout_still_fires(self):
+        src = """
+            def f(x):
+                print(x)
+            """
+        path = "/home/user/examples/checkout/src/repro/latency/sample.py"
+        assert "print-call" in rules(src, path=path)
+
     def test_main_entry_point_exempt(self):
         src = """
             def main():

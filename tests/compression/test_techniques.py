@@ -15,6 +15,7 @@ from repro.compression import (
     SVDCompression,
     TechniqueRegistry,
     default_registry,
+    extended_registry,
 )
 from repro.latency.maccs import total_maccs
 from repro.model.spec import LayerType
@@ -50,6 +51,17 @@ class TestRegistry:
     def test_contains_and_len(self, registry):
         assert "C1" in registry
         assert len(registry) == 8
+
+    @pytest.mark.parametrize("build", [vgg11, alexnet])
+    def test_applicability_matches_applicable(self, build):
+        registry = extended_registry()
+        spec = build()
+        names = registry.names[::-1] + ["Z9"]  # any order; unknown applies nowhere
+        mask = registry.applicability(spec, names)
+        assert mask.shape == (len(spec), len(names))
+        for i in range(len(spec)):
+            applicable = {t.name for t in registry.applicable(spec, i)}
+            assert mask[i].tolist() == [name in applicable for name in names]
 
     def test_applicable_always_includes_identity(self, registry):
         spec = vgg11()

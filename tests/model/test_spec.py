@@ -234,3 +234,24 @@ def test_fingerprint_deterministic(layers):
     except ValueError:
         return
     assert a.fingerprint() == b.fingerprint()
+
+
+def _reinferred(spec):
+    """The shapes shape inference assigns the spec's layers from scratch."""
+    return ModelSpec(spec.layers, spec.input_shape)._shapes
+
+
+@given(st.lists(conv_layers, min_size=2, max_size=6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_slice_and_concat_shapes_equal_reinferred(layers, data):
+    """Slices and joins reuse their parts' inferred shapes, unchanged."""
+    try:
+        spec = ModelSpec(layers + [flatten(), fc(10)], TensorShape(3, 32, 32))
+    except ValueError:
+        return
+    start = data.draw(st.integers(0, len(spec)))
+    stop = data.draw(st.integers(start, len(spec)))
+    head, tail = spec.slice(0, start), spec.slice(start, stop)
+    for part in (head, tail, head.concatenate(tail)):
+        assert part._shapes == _reinferred(part)
+    assert tail.input_shape == spec._shapes[start]
