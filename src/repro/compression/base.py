@@ -134,9 +134,6 @@ class TechniqueRegistry:
             technique = self._techniques.get(name)
             if technique is None:
                 continue
-            types = technique.applicable_types
-            for i, layer in enumerate(spec.layers):
-                # applies_to's own first test, hoisted to skip the call.
-                if layer.layer_type in types and technique.applies_to(spec, i):
-                    mask[i, j] = True
+            for i in range(len(spec)):
+                mask[i, j] = technique.applies_to(spec, i)
         return mask

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -130,9 +131,7 @@ class LayerSpec:
         return self.layer_type in COMPRESSIBLE_LAYER_TYPES
 
     def to_dict(self) -> Dict[str, object]:
-        # ``dataclasses.asdict`` without its recursive deep copy: every
-        # field holds an immutable scalar, so the dicts are equal.
-        data = {name: getattr(self, name) for name in _LAYER_FIELDS}
+        data = dataclasses.asdict(self)
         data["layer_type"] = self.layer_type.value
         return data
 
@@ -143,9 +142,22 @@ class LayerSpec:
         The layer's fragment of :func:`compute_fingerprint`'s payload. The
         spec is frozen, so the fragment can never go stale;
         ``cached_property`` stores it in the instance ``__dict__``, which
-        leaves the dataclass fields, equality and hash untouched.
+        leaves the dataclass fields, equality and hash untouched. Fields
+        holding a plain ``int`` or finite ``float`` are written with
+        ``repr``, the text ``json`` emits for them; a layer with any other
+        field value takes ``json.dumps`` itself.
         """
-        return json.dumps(self.to_dict(), sort_keys=True)
+        values = []
+        for key in _LAYER_KEYS:
+            value = getattr(self, key)
+            kind = type(value)
+            if kind is int or (kind is float and math.isfinite(value)):
+                values.append(repr(value))
+            elif kind is LayerType:
+                values.append(_LAYER_TYPE_JSON[value])
+            else:
+                return json.dumps(self.to_dict(), sort_keys=True)
+        return _LAYER_TEMPLATE % tuple(values)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "LayerSpec":
@@ -154,7 +166,11 @@ class LayerSpec:
         return cls(**data)  # type: ignore[arg-type]
 
 
-_LAYER_FIELDS = tuple(f.name for f in dataclasses.fields(LayerSpec))
+#: ``LayerSpec.fingerprint_json``'s field order (``sort_keys``) and the
+#: sorted-key JSON object it fills in.
+_LAYER_KEYS = tuple(sorted(f.name for f in dataclasses.fields(LayerSpec)))
+_LAYER_TEMPLATE = "{" + ", ".join(f'"{key}": %s' for key in _LAYER_KEYS) + "}"
+_LAYER_TYPE_JSON = {member: json.dumps(member.value) for member in LayerType}
 
 
 @dataclass(frozen=True)
@@ -179,12 +195,7 @@ class TensorShape:
     @cached_property
     def fingerprint_json(self) -> str:
         """``json.dumps(asdict(self), sort_keys=True)``, computed once."""
-        return json.dumps(
-            {name: getattr(self, name) for name in _SHAPE_FIELDS}, sort_keys=True
-        )
-
-
-_SHAPE_FIELDS = tuple(f.name for f in dataclasses.fields(TensorShape))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -304,35 +315,17 @@ class ModelSpec:
         input_shape: TensorShape,
         name: str = "model",
     ) -> None:
-        layers = tuple(layers)
-        shapes = [input_shape]
-        for layer in layers:
-            shapes.append(infer_output_shape(layer, shapes[-1]))
-        self._assign(layers, shapes, name)
-
-    def _assign(
-        self, layers: Tuple[LayerSpec, ...], shapes: List[TensorShape], name: str
-    ) -> None:
-        self.layers: Tuple[LayerSpec, ...] = layers
-        self.input_shape = shapes[0]
+        self.layers: Tuple[LayerSpec, ...] = tuple(layers)
+        self.input_shape = input_shape
         self.name = name
         self._fingerprint: Optional[str] = None  # computed lazily, then cached
         # Latency-model caches, filled lazily by ``model_macc_entries`` and
         # ``DeviceProfile.model_latency_ms``.
         self._macc_entries: Optional[Tuple[MaccEntry, ...]] = None
         self._latency_ms: Optional[Dict[int, Tuple[DeviceProfile, float]]] = None
-        self._shapes: List[TensorShape] = shapes
-
-    @classmethod
-    def _inferred(
-        cls, layers: Tuple[LayerSpec, ...], shapes: List[TensorShape], name: str
-    ) -> "ModelSpec":
-        """A spec whose shapes are already known: a slice or a join of
-        specs that were shape-checked when they were built. Shape inference
-        is deterministic, so the shared shapes equal re-inferred ones."""
-        spec = cls.__new__(cls)
-        spec._assign(layers, shapes, name)
-        return spec
+        self._shapes: List[TensorShape] = [input_shape]
+        for layer in self.layers:
+            self._shapes.append(infer_output_shape(layer, self._shapes[-1]))
 
     # -- basics ----------------------------------------------------------
     def __len__(self) -> int:
@@ -427,13 +420,21 @@ class ModelSpec:
         return ModelSpec(layers, self.input_shape, name=self.name)
 
     def slice(self, start: int, stop: int, name: Optional[str] = None) -> "ModelSpec":
-        """Sub-model covering layers [start, stop) with the right input shape."""
-        name = name or f"{self.name}[{start}:{stop}]"
-        if 0 <= start <= stop <= len(self.layers):
-            return ModelSpec._inferred(
-                self.layers[start:stop], self._shapes[start : stop + 1], name
+        """Sub-model covering layers [start, stop) with the right input shape.
+
+        Requires ``0 <= start <= stop <= len(self)``: Python's negative or
+        clamped slice indices would pair the layers with the wrong input
+        shape.
+        """
+        if not 0 <= start <= stop <= len(self.layers):
+            raise ValueError(
+                f"slice [{start}:{stop}] out of range for {len(self.layers)} layers"
             )
-        return ModelSpec(self.layers[start:stop], self._shapes[start], name=name)
+        return ModelSpec(
+            self.layers[start:stop],
+            self._shapes[start],
+            name=name or f"{self.name}[{start}:{stop}]",
+        )
 
     def concatenate(self, other: "ModelSpec", name: Optional[str] = None) -> "ModelSpec":
         """Append ``other`` (whose input shape must match our output)."""
@@ -442,10 +443,10 @@ class ModelSpec:
                 f"cannot concatenate: output {self.output_shape} != "
                 f"input {other.input_shape}"
             )
-        return ModelSpec._inferred(
+        return ModelSpec(
             self.layers + other.layers,
-            self._shapes + other._shapes[1:],
-            name or f"{self.name}+{other.name}",
+            self.input_shape,
+            name=name or f"{self.name}+{other.name}",
         )
 
     # -- (de)serialization ------------------------------------------------

@@ -2,23 +2,23 @@
 
 The paper's partition/compression controllers (Fig. 6) are bidirectional
 LSTMs over per-layer hyperparameter encodings. REINFORCE gradients flow
-through them on the autodiff :class:`~repro.nn.tensor.Tensor` tape, but
-the whole recurrence of an LSTM, or of both BiLSTM directions at once, is
-one tape node, :func:`lstm_recurrence`, whose backward pass is a
-hand-written BPTT. That BPTT reproduces the per-step tape's gradients
-bit for bit (see its docstring), so seeded searches are unchanged by the
-fusion. :meth:`LSTMCell.forward_step` is the readable per-step reference.
+through them on the autodiff :class:`~repro.nn.tensor.Tensor` tape, but a
+whole direction's recurrence is one tape node, :func:`lstm_recurrence`,
+whose backward pass is a hand-written BPTT. That BPTT reproduces the
+per-step tape's gradients bit for bit (see its docstring), so seeded
+searches are unchanged by the fusion. :meth:`LSTMCell.forward_step` is the
+readable per-step reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .init import xavier_uniform
 from .layers import Module
-from .tensor import Tensor, sigmoid_array, zeros
+from .tensor import Tensor, concatenate, sigmoid_array, zeros
 
 
 class LSTMCell(Module):
@@ -82,153 +82,98 @@ class LSTMCell(Module):
         )
 
 
-#: One LSTM direction for :func:`lstm_recurrence`: the hoisted input
-#: projection ``x @ W_ih^T`` of shape (N, T, 4*hidden), the recurrent
-#: weight, the gate bias, and whether the steps run from T-1 down to 0.
-Direction = Tuple[Tensor, Tensor, Tensor, bool]
+def lstm_recurrence(
+    projected: Tensor,
+    weight_hh: Tensor,
+    bias: Tensor,
+    hidden_size: int,
+    reverse: bool = False,
+) -> Tensor:
+    """One LSTM direction's whole recurrence as a single tape node.
 
-
-def lstm_recurrence(directions: Sequence[Direction], hidden_size: int) -> Tensor:
-    """The whole recurrence of one or more LSTM directions as one tape node.
-
-    Each direction is ``(projected, weight_hh, bias, reverse)`` (see
-    :data:`Direction`); all share N and T. The result holds every step's
-    hidden state, (N, T, D*hidden), direction ``d`` in channels
-    ``[d*hidden, (d+1)*hidden)`` — for a BiLSTM the concatenation of the
-    forward and backward outputs. The forward pass runs in raw numpy with
-    the D directions stacked, so a step costs the same numpy calls for a
-    BiLSTM as for one LSTM: iteration ``k`` advances every direction by
-    one step (step ``k``, or ``T-1-k`` when reversed). It keeps each
-    step's gate activations for the node's backward closure, which runs
-    BPTT over them.
+    ``projected`` is the hoisted input projection ``x @ W_ih^T`` of shape
+    (N, T, 4*hidden); the result holds the hidden state of every step,
+    (N, T, hidden). ``reverse`` processes the steps from T-1 down to 0.
+    The forward pass runs in raw numpy and keeps each step's gate
+    activations; the node's backward closure runs BPTT over them.
 
     The BPTT is tape-exact: its gradients are bit-identical to those of
-    the same recurrences recorded step by step on the tape (a fresh
-    ``W_hh.T`` per step, four gate slices, ``sigmoid``/``tanh`` nodes) and
-    joined by ``concatenate``. Three things make it so:
+    the same recurrence recorded step by step on the tape (a fresh
+    ``W_hh.T`` per step, four gate slices, ``sigmoid``/``tanh`` nodes).
+    Two things make it so:
 
     - every expression is the tape's own, e.g. the sigmoid grad
       ``grad * s * (1.0 - s)``, the tanh grad ``grad * (1.0 - t**2)``,
-      ``dh_prev = dgates @ W_hh`` and the ``W_hh`` term
+      ``dh_prev = dgates @ WT.swapaxes(-1, -2)`` and the ``W_hh`` term
       ``(h_prev.swapaxes(-1, -2) @ dgates).transpose()``;
-    - stacking directions changes no value or layout: elementwise ops
-      are per element, ``matmul`` runs the same BLAS call on each stacked
-      matrix as on a lone one, and each gradient handed to a parent has
-      the per-direction array's memory order;
     - each parameter receives one ``_accumulate`` per step in the order
       the tape's topological sweep delivers them: the ``W_hh`` terms
       (including the all-zero one from the initial state) in ascending
       time index in both directions, the ``bias`` terms in BPTT order,
-      the reverse of processing order. Directions share no parameter,
-      so their relative order is free.
+      the reverse of processing order.
 
     Floating-point addition is not associative, so any other order
     drifts in the last bits and seeded searches would no longer replay.
     """
     hs = hidden_size
-    reverses = [reverse for _, _, _, reverse in directions]
-    # (T, D, N, 4*hidden): iteration k's projected input of every direction.
-    inputs = np.array(
-        [
-            projected.data[:, ::-1] if reverse else projected.data
-            for projected, _, _, reverse in directions
-        ]
-    ).transpose(2, 0, 1, 3)
-    w = np.array([weight_hh.data for _, weight_hh, _, _ in directions])
-    wt = w.transpose(0, 2, 1)
-    b = np.array([bias.data for _, _, bias, _ in directions])[:, None, :]
-    t, d, n, _ = inputs.shape
-    h = np.zeros((d, n, hs))
-    c = np.zeros((d, n, hs))
-    # Per iteration: the state entering it, the cell candidate, the gate
-    # activations and tanh(c); the backward closure stacks them over time.
-    h_prev: List[np.ndarray] = []
-    c_prev: List[np.ndarray] = []
-    cells: List[np.ndarray] = []
-    scales: List[np.ndarray] = []
-    tanh_cs: List[np.ndarray] = []
+    xp = projected.data
+    b = bias.data
+    wt = weight_hh.data.transpose()
+    n, t, _ = xp.shape
+    h = np.zeros((n, hs))
+    c = np.zeros((n, hs))
+    saved: List[tuple] = []
     outputs: List[np.ndarray] = []
-    for k in range(t):
-        gates = inputs[k] + h @ wt
+    for step in range(t - 1, -1, -1) if reverse else range(t):
+        gates = xp[:, step, :] + h @ wt
         gates = gates + b
         # One sigmoid over all four slots; the cell slot is overwritten
         # with 1.0 so ``scale`` below multiplies it through exactly.
         scale = sigmoid_array(gates)
-        g = np.tanh(gates[..., 2 * hs : 3 * hs])
-        scale[..., 2 * hs : 3 * hs] = 1.0
-        i, f, o = scale[..., :hs], scale[..., hs : 2 * hs], scale[..., 3 * hs :]
+        g = np.tanh(gates[:, 2 * hs : 3 * hs])
+        scale[:, 2 * hs : 3 * hs] = 1.0
+        i, f, o = scale[:, :hs], scale[:, hs : 2 * hs], scale[:, 3 * hs :]
         c_new = f * c + i * g
         tc = np.tanh(c_new)
-        h_prev.append(h)
-        c_prev.append(c)
-        cells.append(g)
-        scales.append(scale)
-        tanh_cs.append(tc)
+        slope = 1.0 - scale
+        slope[:, 2 * hs : 3 * hs] = 1.0 - g**2
+        partner = np.concatenate([g, c, i, tc], axis=1)
+        saved.append((step, h, f, o, 1.0 - tc**2, partner, scale, slope))
         h, c = o * tc, c_new
         outputs.append(h)
-    # (N, T, D, hidden) in iteration order, then each direction in time order.
-    stacked = np.array(outputs).transpose(2, 0, 1, 3)
-    out = np.concatenate(
-        [
-            stacked[:, ::-1, j] if reverse else stacked[:, :, j]
-            for j, reverse in enumerate(reverses)
-        ],
-        axis=-1,
-    )
+    if reverse:
+        outputs.reverse()
 
     def backward(grad: np.ndarray) -> None:
-        # (T, D, N, hidden): iteration k's output gradient per direction.
-        channels = [grad[..., j * hs : (j + 1) * hs] for j in range(d)]
-        grads = np.array(
-            [
-                block[:, ::-1] if reverse else block
-                for block, reverse in zip(channels, reverses)
-            ]
-        ).transpose(2, 0, 1, 3)
-        # Everything that does not depend on the incoming gradient, for
-        # all T iterations at once (elementwise, so per step the same).
-        g_all, tc_all = np.array(cells), np.array(tanh_cs)
-        scale_all = np.array(scales)
-        slope_all = 1.0 - scale_all
-        slope_all[..., 2 * hs : 3 * hs] = 1.0 - g_all**2
-        tanh_slope_all = 1.0 - tc_all**2
-        f_all, o_all = scale_all[..., hs : 2 * hs], scale_all[..., 3 * hs :]
-        partner_all = np.concatenate(
-            [g_all, np.array(c_prev), scale_all[..., :hs], tc_all], axis=-1
-        )
-        d_inputs = np.zeros((t, d, n, 4 * hs))
+        d_projected = np.zeros(xp.shape)
+        w_terms: List[np.ndarray] = []
+        b_terms: List[np.ndarray] = []
         dh_next: Optional[np.ndarray] = None
         dc_next: Optional[np.ndarray] = None
-        for k in range(t - 1, -1, -1):
-            dh = grads[k] if dh_next is None else grads[k] + dh_next
-            dc = dh * o_all[k] * tanh_slope_all[k]
+        for step, h_prev, f, o, tanh_slope, partner, scale, slope in reversed(saved):
+            dh = grad[:, step, :] if dh_next is None else grad[:, step, :] + dh_next
+            dc = dh * o * tanh_slope
             if dc_next is not None:
                 dc = dc + dc_next
             # Per slot this is the tape's ``grad * s * (1.0 - s)`` with
             # grad = dc*g, dc*c_prev, dh*tc for the i, f, o gates, and
             # ``grad * (1.0 - g**2)`` with grad = dc*i for the cell gate.
-            dgates = np.concatenate([dc, dc, dc, dh], axis=-1)
-            dgates = dgates * partner_all[k] * scale_all[k] * slope_all[k]
-            d_inputs[k] = dgates
-            dh_next = dgates @ w
-            dc_next = dc * f_all[k]
-        # Per iteration and direction: the W_hh term h_prev^T @ dgates
-        # (one batched matmul, the same BLAS call per step) and the bias
-        # term, dgates summed over the N rows.
-        w_terms = np.array(h_prev).swapaxes(-1, -2) @ d_inputs
-        b_terms = d_inputs.sum(axis=2)
-        for j, (projected, weight_hh, bias, reverse) in enumerate(directions):
-            d_projected = d_inputs[:, j].transpose(1, 0, 2)
-            projected._accumulate(
-                np.ascontiguousarray(d_projected[:, ::-1] if reverse else d_projected)
-            )
-            # W_hh wants ascending time; bias wants BPTT order (k = T-1..0).
-            steps = range(t - 1, -1, -1) if reverse else range(t)
-            weight_hh._accumulate_each(w_terms[k, j].transpose() for k in steps)
-            bias._accumulate_each(b_terms[k, j] for k in range(t - 1, -1, -1))
+            dgates = np.concatenate([dc, dc, dc, dh], axis=1) * partner * scale * slope
+            d_projected[:, step, :] = dgates
+            w_terms.append((h_prev.swapaxes(-1, -2) @ dgates).transpose())
+            b_terms.append(dgates.sum(axis=0))
+            dh_next = dgates @ wt.swapaxes(-1, -2)
+            dc_next = dc * f
+        projected._accumulate(d_projected)
+        # w_terms and b_terms are in BPTT order; W_hh wants ascending time.
+        for term in w_terms if reverse else reversed(w_terms):
+            weight_hh._accumulate(term)
+        for term in b_terms:
+            bias._accumulate(term)
 
-    parents = tuple(tensor for direction in directions for tensor in direction[:3])
-    return Tensor._make(out, parents, backward)
+    return Tensor._make(
+        np.stack(outputs, axis=1), (projected, weight_hh, bias), backward
+    )
 
 
 class LSTM(Module):
@@ -252,13 +197,10 @@ class LSTM(Module):
         on the tape; the ``h @ W_hh^T`` recurrence then runs as the single
         :func:`lstm_recurrence` node.
         """
-        return lstm_recurrence([self.direction(x, reverse)], self.hidden_size)
-
-    def direction(self, x: Tensor, reverse: bool = False) -> Direction:
-        """This LSTM's :data:`Direction` over ``x``: the input projection
-        for all N sequences and T steps as one batched matmul on the tape."""
         projected = x.matmul(self.cell.weight_ih.T)  # (N, T, 4*hidden)
-        return projected, self.cell.weight_hh, self.cell.bias, reverse
+        return lstm_recurrence(
+            projected, self.cell.weight_hh, self.cell.bias, self.hidden_size, reverse
+        )
 
 
 class BiLSTM(Module):
@@ -283,12 +225,7 @@ class BiLSTM(Module):
         self.output_size = 2 * hidden_size
 
     def forward(self, x: Tensor) -> Tensor:
-        """(N, T, input_size) -> (N, T, 2*hidden_size).
-
-        Both directions run as one :func:`lstm_recurrence` node.
-        """
-        directions = [
-            self.forward_lstm.direction(x),
-            self.backward_lstm.direction(x, reverse=True),
-        ]
-        return lstm_recurrence(directions, self.hidden_size)
+        """(N, T, input_size) -> (N, T, 2*hidden_size)."""
+        fwd = self.forward_lstm(x)
+        bwd = self.backward_lstm(x, reverse=True)
+        return concatenate([fwd, bwd], axis=2)

@@ -139,15 +139,6 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
-    def _accumulate_each(self, grads: Iterable[np.ndarray]) -> None:
-        """``_accumulate(g)`` for each ``g``, in order, in one call."""
-        if not self.requires_grad:
-            return
-        total = self.grad
-        for grad in grads:
-            total = grad.astype(np.float64, copy=True) if total is None else total + grad
-        self.grad = total
-
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------

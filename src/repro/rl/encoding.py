@@ -9,7 +9,6 @@ all K contexts.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
@@ -29,10 +28,8 @@ _LOG_MAX_CHANNELS = np.log(4097.0)
 _LOG_MAX_BANDWIDTH = np.log(1001.0)  # Mbps
 
 
-@lru_cache(maxsize=4096)
-def _layer_features(layer: LayerSpec) -> np.ndarray:
-    """The bandwidth-free part of :func:`encode_layer`, computed once per
-    distinct layer (read-only; the bandwidth slot is left at 0)."""
+def encode_layer(layer: LayerSpec, bandwidth_mbps: float) -> np.ndarray:
+    """Encode one layer + the context bandwidth as a feature vector."""
     vector = np.zeros(ENCODING_WIDTH)
     vector[_TYPE_INDEX[layer.layer_type]] = 1.0
     base = len(_LAYER_TYPES)
@@ -44,18 +41,7 @@ def _layer_features(layer: LayerSpec) -> np.ndarray:
     vector[base + 5] = layer.expansion / 4.0
     vector[base + 6] = layer.squeeze_ratio
     vector[base + 7] = layer.sparsity
-    vector.flags.writeable = False
-    return vector
-
-
-def _bandwidth_feature(bandwidth_mbps: float) -> float:
-    return np.log1p(max(bandwidth_mbps, 0.0)) / _LOG_MAX_BANDWIDTH
-
-
-def encode_layer(layer: LayerSpec, bandwidth_mbps: float) -> np.ndarray:
-    """Encode one layer + the context bandwidth as a feature vector."""
-    vector = _layer_features(layer).copy()
-    vector[-1] = _bandwidth_feature(bandwidth_mbps)
+    vector[base + 8] = np.log1p(max(bandwidth_mbps, 0.0)) / _LOG_MAX_BANDWIDTH
     return vector
 
 
@@ -68,6 +54,5 @@ def encode_model(spec_or_layers, bandwidth_mbps: float) -> np.ndarray:
         layers = list(spec_or_layers)
     if not layers:
         raise ValueError("cannot encode an empty layer sequence")
-    encoded = np.array([_layer_features(layer) for layer in layers])
-    encoded[:, -1] = _bandwidth_feature(bandwidth_mbps)
+    encoded = np.stack([encode_layer(layer, bandwidth_mbps) for layer in layers])
     return encoded[None, :, :]

@@ -120,6 +120,28 @@ class TestCachedFragments:
         assert warm == cold and hash(warm) == hash(cold)
         assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"dropout_p": float("inf")},
+            {"squeeze_ratio": float("-inf")},
+            {"dropout_p": float("nan")},
+            {"squeeze_ratio": -0.0},
+            {"dropout_p": 1e-300, "squeeze_ratio": 1e22},
+            {"rank": 2**70, "groups": -3},
+            {"bits": True},
+            {"expansion": 2.0},
+        ],
+        ids=repr,
+    )
+    def test_fragment_edge_values_match_json(self, changes):
+        """Non-finite floats and non-``int``/``float`` values take the
+        ``json.dumps`` fallback; every other value is ``repr``-exact."""
+        layer = LayerSpec(LayerType.CONV, 3, 1, 1, 16).replace(**changes)
+        assert layer.fingerprint_json == json.dumps(
+            _legacy_layer_dict(layer), sort_keys=True
+        )
+
     def test_fragment_survives_pickling(self):
         spec = vgg11()
         spec.fingerprint()
@@ -195,6 +217,26 @@ def test_fast_fingerprint_equals_serializer(spec):
         assert layer.to_dict() == _legacy_layer_dict(layer)
     assert compute_fingerprint(spec) == serialized_fingerprint(spec)
     assert spec.fingerprint() == serialized_fingerprint(spec)
+
+
+_free_numbers = st.one_of(
+    st.integers(-(2**70), 2**70), st.floats(allow_nan=True), st.booleans()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(list(LayerType)),
+    st.dictionaries(
+        st.sampled_from(["groups", "expansion", "squeeze_ratio", "rank", "dropout_p"]),
+        _free_numbers,
+    ),
+)
+def test_fragment_equals_json_for_any_number(layer_type, changes):
+    """The fragment is ``json.dumps`` of the layer's dict for any int, float
+    or bool in the fields ``LayerSpec`` does not validate."""
+    layer = LayerSpec(layer_type, 3, 1, 1, 16).replace(**changes)
+    assert layer.fingerprint_json == json.dumps(_legacy_layer_dict(layer), sort_keys=True)
 
 
 @settings(max_examples=150, deadline=None)

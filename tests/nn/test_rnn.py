@@ -11,7 +11,7 @@ from repro.experiments.common import ExperimentConfig, run_scenario
 from repro.network.scenarios import get_scenario
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiLSTM, LSTM, LSTMCell
-from repro.nn.tensor import Tensor, concatenate, stack
+from repro.nn.tensor import Tensor, stack
 from tests import tape_heads
 
 
@@ -36,13 +36,6 @@ def tape_lstm_forward(self, x, reverse=False):
     if reverse:
         outputs.reverse()
     return stack(outputs, axis=1)
-
-
-def tape_bilstm_forward(self, x):
-    """Oracle: both directions stepped on the tape, joined by ``concatenate``."""
-    fwd = tape_lstm_forward(self.forward_lstm, x)
-    bwd = tape_lstm_forward(self.backward_lstm, x, reverse=True)
-    return concatenate([fwd, bwd], axis=2)
 
 
 @pytest.fixture
@@ -144,55 +137,12 @@ class TestFusedRecurrence:
         for expected, actual in zip(tape_grads, fused_grads):
             assert np.array_equal(expected, actual)
 
-    @given(
-        seed=st.integers(0, 2**16),
-        n=st.integers(1, 6),
-        t=st.integers(1, 12),
-        hidden=st.sampled_from([3, 32]),
-        calls=st.integers(1, 3),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bidirectional_outputs_and_gradients_equal_tape(self, seed, n, t, hidden, calls):
-        """Both directions stacked in one node against two stepped tapes."""
-
-        def run(forward):
-            rng = np.random.default_rng(seed)
-            bilstm = BiLSTM(5, hidden, rng=np.random.default_rng(seed + 1))
-            x = Tensor(rng.normal(size=(n, t, 5)), requires_grad=True)
-            outputs, loss = [], None
-            for _ in range(calls):
-                out = forward(bilstm, x)
-                outputs.append(out.data)
-                term = (out * Tensor(rng.normal(size=out.shape))).sum()
-                loss = term if loss is None else loss + term
-            loss.backward()
-            return outputs, [x.grad] + [p.grad for p in bilstm.parameters()]
-
-        tape_out, tape_grads = run(tape_bilstm_forward)
-        fused_out, fused_grads = run(BiLSTM.forward)
-        for expected, actual in zip(tape_out, fused_out):
-            assert np.array_equal(expected, actual)
-        assert len(tape_grads) == len(fused_grads) == 7
-        for expected, actual in zip(tape_grads, fused_grads):
-            assert np.array_equal(expected, actual)
-            assert expected.flags.c_contiguous == actual.flags.c_contiguous
-
     def test_single_node_per_direction(self, rng):
         lstm = LSTM(4, 6, rng=rng)
         out = lstm(Tensor(rng.normal(size=(2, 7, 4))))
         projected, weight_hh, bias = out._parents
         assert weight_hh is lstm.cell.weight_hh and bias is lstm.cell.bias
         assert projected.shape == (2, 7, 24)
-
-    def test_single_node_for_both_directions(self, rng):
-        bilstm = BiLSTM(4, 6, rng=rng)
-        out = bilstm(Tensor(rng.normal(size=(2, 7, 4))))
-        assert out.shape == (2, 7, 12)
-        fwd, bwd = bilstm.forward_lstm.cell, bilstm.backward_lstm.cell
-        projected_fwd, w_fwd, b_fwd, projected_bwd, w_bwd, b_bwd = out._parents
-        assert w_fwd is fwd.weight_hh and b_fwd is fwd.bias
-        assert w_bwd is bwd.weight_hh and b_bwd is bwd.bias
-        assert projected_fwd.shape == projected_bwd.shape == (2, 7, 24)
 
     def test_stepped_reference_within_tolerance(self, rng):
         """``forward_step`` is the readable reference, close but not exact."""
@@ -228,16 +178,16 @@ class TestFusedRecurrence:
                 digests.append(hashlib.sha256(b"".join(grads + params)).hexdigest())
 
             with monkeypatch.context() as patch:
-                patch.setattr(BiLSTM, "forward", forward)
+                patch.setattr(LSTM, "forward", forward)
                 patch.setattr(Adam, "step", recording_step)
                 if per_row_heads:
                     tape_heads.install(patch)
                 run_scenario(scene, config, run_field=False, run_emu=False)
             return digests
 
-        tape = trajectory(tape_bilstm_forward, per_row_heads=True)
+        tape = trajectory(tape_lstm_forward, per_row_heads=True)
         assert len(tape) > 10
-        assert trajectory(BiLSTM.forward) == tape
+        assert trajectory(LSTM.forward) == tape
 
 
 class TestBiLSTM:
