@@ -1,13 +1,12 @@
 """Resource typestate rules over the exception-aware CFG.
 
 ``SPAN-LEAK`` — a ``repro.obs.span(...)`` / ``TraceRecorder.span(...)``
-context, a read-mode ``open()``, or a
-crash-safe sink (``JsonlSink`` / ``CsvSink`` / the pool's
-``ResultJournal``) bound to a local outside ``with`` must be released
-(``close()`` / ``__exit__()`` / handed to ``with``) on *every* CFG exit,
-including the unhandled-exception exit. Spans that stay open on a raise
-corrupt the latency histograms the offload policy reads; leaked file
-handles are the classic slow burn.
+context, a read-mode ``open()``, or a crash-safe sink (``JsonlSink`` /
+the pool's ``ResultJournal``) bound to a local outside ``with`` must be
+released (``close()`` / ``__exit__()`` / handed to ``with``) on *every*
+CFG exit, including the unhandled-exception exit. Spans that stay open
+on a raise corrupt the latency histograms the offload policy reads;
+leaked file handles are the classic slow burn.
 
 ``SINK-FLUSH`` — in a worker-bound function (reachable from a
 ``@worker_safe`` root), a write-mode ``open()`` must be flushed or
@@ -57,7 +56,6 @@ _SPAN_FUNCTIONS = frozenset({"repro.obs.trace.span", "repro.obs.span"})
 _SINK_CLASSES = frozenset(
     {
         "repro.obs.sink.JsonlSink",
-        "repro.obs.sink.CsvSink",
         "repro.runtime.pool.ResultJournal",
     }
 )
@@ -68,10 +66,9 @@ def classify_acquisition(call: ast.Call, module: ModuleInfo) -> Optional[str]:
 
     ``open()`` covers the builtin and ``Path.open``; the mode is the
     second positional argument (first for the method form) or ``mode=``,
-    defaulting to read. Sink-class constructions (``JsonlSink``,
-    ``CsvSink``, the pool's ``ResultJournal``) resolve through the
-    import table, so aliased imports are still recognized. Unknown
-    calls return None.
+    defaulting to read. Sink-class constructions (``JsonlSink``, the
+    pool's ``ResultJournal``) resolve through the import table, so
+    aliased imports are still recognized. Unknown calls return None.
     """
     func = call.func
     if isinstance(func, ast.Attribute) and func.attr in _SPAN_METHODS:

@@ -10,7 +10,6 @@ from .dag import (
     resnet_dag,
 )
 from .blocks import BlockSpec, concatenate_blocks, slice_into_blocks
-from .summary import LayerSummary, render_summary, summarize
 from .spec import (
     BYTES_PER_VALUE,
     COMPRESSIBLE_LAYER_TYPES,
@@ -25,9 +24,6 @@ from .spec import (
 )
 
 __all__ = [
-    "LayerSummary",
-    "render_summary",
-    "summarize",
     "INPUT",
     "DagModel",
     "DagPartition",

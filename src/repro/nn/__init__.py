@@ -7,8 +7,6 @@ PyTorch/TensorFlow in this offline reproduction (DESIGN.md §2).
 
 from . import functional
 from .build import build_network
-from .checkpoint import load_network, save_network
-from .dag_build import DagNetwork, build_dag_network
 from .data import Batch, SyntheticImageDataset
 from .layers import (
     AvgPool2d,
@@ -29,17 +27,12 @@ from .layers import (
 )
 from .optim import SGD, Adam, Optimizer
 from .rnn import BiLSTM, LSTM, LSTMCell
-from .schedule import CosineAnnealingLR, LRScheduler, StepLR, WarmupLR
 from .tensor import Tensor, as_tensor, concatenate, stack
 from .zoo import BASE_MODELS, alexnet, get_model, tiny_cnn, vgg11, vgg19
 
 __all__ = [
     "functional",
     "build_network",
-    "DagNetwork",
-    "build_dag_network",
-    "load_network",
-    "save_network",
     "Batch",
     "SyntheticImageDataset",
     "AvgPool2d",
@@ -60,10 +53,6 @@ __all__ = [
     "SGD",
     "Adam",
     "Optimizer",
-    "CosineAnnealingLR",
-    "LRScheduler",
-    "StepLR",
-    "WarmupLR",
     "BiLSTM",
     "LSTM",
     "LSTMCell",

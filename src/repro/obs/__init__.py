@@ -1,4 +1,4 @@
-"""Observability layer: structured traces, windowed metrics, SLOs, exporters.
+"""Observability layer: structured traces, windowed metrics and SLOs.
 
 Layered on top of :mod:`repro.perf`: the :class:`TraceRecorder` captures a
 span tree (one trace per scenario run / inference session, child spans per
@@ -6,17 +6,17 @@ search episode and emulator request) plus point events (controller
 updates, retries, breaker transitions, SLO alerts);
 :mod:`repro.obs.window` keeps sliding-window histograms/counters keyed on
 *simulated* time; :mod:`repro.obs.slo` turns a latency objective into a
-multi-window burn-rate alert; :mod:`repro.obs.exporters` turns a
-:class:`~repro.perf.PerfRegistry` into JSON or Prometheus text; and
-``python -m repro.obs`` (also ``repro obs``) ships two subcommands —
-``report`` summarizes recorded traces (files or per-task directories)
-into phase timings, per-fork request counts, RL learning curves,
-windowed latency and a resilience timeline, and ``diff`` compares two
-runs' artifacts with regression verdicts.
+multi-window burn-rate alert; and ``python -m repro.obs`` (also
+``repro obs``) ships two subcommands — ``report`` summarizes recorded
+traces (files or per-task directories) into phase timings, per-fork
+request counts, RL learning curves, windowed latency and a resilience
+timeline, and ``diff`` compares two runs' artifacts with regression
+verdicts.
 
 Every timed region opens one :func:`span` (perf registry + trace).
 Tracing is **off by default**; a span then only times into the registry,
-≈ 1.3 µs per served request (``obs.span_off_us``). Enable it with::
+about 1.0–1.3 µs per span (median of timeit runs of :func:`span` without
+and with one field, Python 3.11 on 2 vCPUs). Enable it with::
 
     from repro.obs import recording
 
@@ -25,13 +25,7 @@ Tracing is **off by default**; a span then only times into the registry,
 """
 
 from .diff import DiffEntry, DiffReport, diff_artifacts, load_artifact
-from .exporters import (
-    MetricFamily,
-    export_metrics,
-    parse_prometheus_text,
-    prometheus_text,
-)
-from .sink import CsvSink, JsonlSink
+from .sink import JsonlSink
 from .report import (
     RLCurve,
     SpanAgg,
@@ -69,11 +63,9 @@ from .window import (
 __all__ = [
     "AlertEvent",
     "BurnRateEvaluator",
-    "CsvSink",
     "DiffEntry",
     "DiffReport",
     "JsonlSink",
-    "MetricFamily",
     "RLCurve",
     "SLOPolicy",
     "SLOStatus",
@@ -85,7 +77,6 @@ __all__ = [
     "WindowedHistogram",
     "diff_artifacts",
     "expand_trace_paths",
-    "export_metrics",
     "get_recorder",
     "load_artifact",
     "load_trace",
@@ -93,8 +84,6 @@ __all__ = [
     "merge_window_sections",
     "merge_window_states",
     "parse_jsonl",
-    "parse_prometheus_text",
-    "prometheus_text",
     "recording",
     "render_report",
     "set_recorder",

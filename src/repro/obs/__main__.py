@@ -10,12 +10,15 @@ Usage::
     python -m repro.obs diff base.json other.json    # regression verdicts
 
 Also reachable as ``python -m repro obs ...``. ``report`` exits 0 on a
-clean trace; ``--strict`` exits 1 when any line failed to parse (the
-acceptance bar for a healthy trace is zero unparsed lines). ``diff``
-compares two artifacts — ``BENCH_*.json``, ``report --json`` output, or
-raw traces — and exits 1 when any directional metric regressed past
-``--fail`` (default 25%); drift past ``--warn`` (default 10%) is
-annotated but passes.
+clean trace; ``--strict`` exits 1 when any line failed to parse or the
+trace holds no records at all (the acceptance bar for a healthy trace
+is at least one record and zero unparsed lines). ``diff`` compares two
+artifacts — ``BENCH_*.json``, ``report --json`` output, or raw traces —
+and exits 1 when any directional metric regressed past ``--fail``
+(default 25%); drift past ``--warn`` (default 10%) is annotated but
+passes. Both exit 2, with a one-line message on stderr, when an input
+is missing or in no recognised format, so a broken input never reads
+as a regression verdict.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             f"error: {summary.unparsed} unparsed line(s) in {summary.path}",
             file=sys.stderr,
         )
+        return 1
+    if args.strict and not summary.records:
+        print(f"error: no trace records in {summary.path}", file=sys.stderr)
         return 1
     return 0
 
@@ -82,7 +88,9 @@ def build_parser(prog: str = "python -m repro.obs") -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit a JSON summary instead of text"
     )
     report.add_argument(
-        "--strict", action="store_true", help="exit non-zero on unparsed lines"
+        "--strict",
+        action="store_true",
+        help="exit non-zero on unparsed lines or an empty trace",
     )
     report.set_defaults(func=_cmd_report)
 
@@ -117,7 +125,13 @@ def build_parser(prog: str = "python -m repro.obs") -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None, prog: str = "python -m repro.obs") -> int:
     parser = build_parser(prog=prog)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Unreadable or unrecognised input (UnicodeDecodeError is a
+        # ValueError). Exit 2, not 1: 1 is diff's regression verdict.
+        print(f"{prog} {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .report import TraceSummary, parse_jsonl, summarize_records
+from .report import TraceSummary, parse_jsonl, read_text, summarize_records
 
 PathLike = Union[str, Path]
 
@@ -170,7 +170,7 @@ def load_artifact(path: PathLike) -> Tuple[str, Dict[str, Any]]:
     :func:`diff_artifacts`. Raw trace JSONL is summarized into the report
     shape, so traces and report JSONs diff interchangeably.
     """
-    text = Path(path).read_text()
+    text = read_text(path)
     data: Optional[Any] = None
     try:
         data = json.loads(text)

@@ -211,9 +211,18 @@ def parse_jsonl(
     return records, unparsed
 
 
+def read_text(path: PathLike) -> str:
+    """A text artifact's contents; a binary file raises a ``ValueError``
+    that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
+
+
 def load_trace(path: PathLike) -> Tuple[List[Dict[str, Any]], int]:
     """Read and parse one JSONL trace file."""
-    return parse_jsonl(Path(path).read_text(), str(path))
+    return parse_jsonl(read_text(path), str(path))
 
 
 def _fork_key(fork_path: Any) -> str:

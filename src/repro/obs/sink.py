@@ -4,29 +4,24 @@
 record in memory and wrote the JSONL file only when ``recording()``
 exited — so a hard crash (OOM kill, power loss on the device under
 test) lost the entire trace, which is precisely the run you wanted
-evidence from. These sinks invert that: each record is serialized,
+evidence from. The sink inverts that: each record is serialized,
 written and **flushed** the moment it is produced, so the file on disk
 is always a valid prefix of the run.
 
-- :class:`JsonlSink` — one JSON object per line, the trace format
-  readers already consume (:mod:`repro.obs.report`);
-- :class:`CsvSink` — fixed-column CSV for sweep/result tables, columns
-  declared up front so partial files still parse.
-
-Both are context managers, idempotent on :meth:`close`, and safe to
-call after close (writes to a closed sink raise, they do not silently
-vanish). They hold the only reference to their file handle and release
-it on every path — the flowcheck ``SPAN-LEAK``/``SINK-FLUSH`` rules
-check exactly this contract at their call sites.
+:class:`JsonlSink` writes one JSON object per line, the trace format
+readers already consume (:mod:`repro.obs.report`). It is a context
+manager, idempotent on :meth:`close`, and safe to call after close
+(writes to a closed sink raise, they do not silently vanish). It holds
+the only reference to its file handle and releases it on every path —
+the flowcheck ``SPAN-LEAK``/``SINK-FLUSH`` rules check exactly this
+contract at its call sites.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Union
 
 PathLike = Union[str, Path]
 
@@ -69,63 +64,12 @@ class JsonlSink:
         self.close()
 
 
-class CsvSink:
-    """Fixed-column CSV writer that flushes after every row.
-
-    Columns are declared up front and the header is written immediately,
-    so a run killed after *n* rows leaves a parseable n-row table.
-    Missing keys become empty cells; unexpected keys raise (a sweep that
-    silently drops a metric column is worse than one that crashes).
-    """
-
-    def __init__(self, path: PathLike, columns: Sequence[str]) -> None:
-        if not columns:
-            raise ValueError("CsvSink needs at least one column")
-        self.path = Path(path)
-        self.columns = list(columns)
-        self._handle: Optional[Any] = self.path.open(
-            "w", encoding="utf-8", newline=""
-        )
-        self._writer = csv.DictWriter(self._handle, fieldnames=self.columns)
-        self._writer.writeheader()
-        self._handle.flush()
-        self.rows_written = 0
-
-    def write(self, row: Dict[str, Any]) -> None:
-        if self._handle is None:
-            raise ValueError(f"sink already closed: {self.path}")
-        unknown = set(row) - set(self.columns)
-        if unknown:
-            raise ValueError(
-                f"row has undeclared columns {sorted(unknown)}; "
-                f"declared: {self.columns}"
-            )
-        self._writer.writerow(row)
-        self._handle.flush()
-        self.rows_written += 1
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "CsvSink":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 # ---------------------------------------------------------------------------
 # Crash recovery — reading back a sink file that may have died mid-write.
 #
 # Flush-per-record guarantees the file is a valid prefix of the run *plus
 # at most one partial trailing line* (the record being written when the
-# process was killed). These readers return the complete records and drop
+# process was killed). The reader returns the complete records and drops
 # that partial tail; corruption anywhere *before* the tail is a real
 # integrity failure and raises. ``truncate=True`` additionally cuts the
 # file back to its last complete line so it can be reopened with
@@ -135,7 +79,7 @@ class CsvSink:
 
 def _complete_lines(path: Path, truncate: bool) -> List[str]:
     # Raw bytes, not text mode: universal-newline translation would make
-    # a row torn between "\r" and "\n" look complete.
+    # a line torn between "\r" and "\n" look complete.
     data = path.read_bytes()
     complete, _, partial = data.rpartition(b"\n")
     if partial and truncate:
@@ -166,39 +110,3 @@ def recover_jsonl_records(
                 f"{path}:{number}: corrupt journal line ({exc})"
             ) from exc
     return records
-
-
-def recover_csv_rows(
-    path: PathLike,
-    columns: Optional[Sequence[str]] = None,
-    truncate: bool = False,
-) -> List[Dict[str, str]]:
-    """Complete rows of a possibly-torn :class:`CsvSink` file.
-
-    The header row declares the columns (checked against ``columns`` when
-    given). A partial final row — killed mid-write, so its line has no
-    newline — is detected and dropped, never parsed as a short row; a
-    short row that *was* durably written raises.
-    """
-    path = Path(path)
-    if not path.exists():
-        return []
-    lines = _complete_lines(path, truncate)
-    if not lines:
-        return []
-    parsed = list(csv.reader(io.StringIO("\n".join(lines))))
-    header, body = parsed[0], parsed[1:]
-    if columns is not None and header != list(columns):
-        raise ValueError(
-            f"{path}: header {header} does not match expected columns "
-            f"{list(columns)}"
-        )
-    rows: List[Dict[str, str]] = []
-    for number, cells in enumerate(body, start=2):
-        if len(cells) != len(header):
-            raise ValueError(
-                f"{path}:{number}: row has {len(cells)} cells, "
-                f"expected {len(header)}"
-            )
-        rows.append(dict(zip(header, cells)))
-    return rows

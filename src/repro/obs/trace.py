@@ -14,7 +14,7 @@ Design constraints, in priority order:
 
 - **cheap when disabled** — the default recorder is disabled; ``event()``
   returns after one attribute check and :func:`span` still times into
-  the perf registry: ≈ 1.3 µs per served request (``obs.span_off_us``);
+  the perf registry, about 1.0–1.3 µs per span;
 - **imports only** :mod:`repro.perf` — any other layer may depend on
   this module without cycles;
 - **deterministic ids** — span/trace ids are monotonically increasing

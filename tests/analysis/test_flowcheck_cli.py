@@ -47,9 +47,10 @@ class TestExitCodes:
     def test_findings_exit_one(self, broken_file):
         assert main(["--flow", str(broken_file)]) == 1
 
-    def test_repo_source_is_clean(self, monkeypatch):
+    def test_repo_source_is_clean(self, monkeypatch, capsys):
         monkeypatch.chdir(REPO)
-        assert main(["--flow", *GATED]) == 0
+        assert main(["--flow", "--json", *GATED]) == 0
+        assert json.loads(capsys.readouterr().out)["files_checked"] > 50
 
     def test_script_dirs_clean_by_absolute_path(self, tmp_path, monkeypatch, capsys):
         # Regression: print-call's benchmarks/examples carve-out keyed on

@@ -210,10 +210,10 @@ class TestSinkClassTracking:
 
     def test_with_managed_sink_is_clean(self):
         src = """
-            from repro.obs.sink import CsvSink
+            from repro.obs.sink import JsonlSink
 
             def export(path, rows):
-                with CsvSink(path, columns=["a"]) as sink:
+                with JsonlSink(path) as sink:
                     for row in rows:
                         sink.write(row)
             """

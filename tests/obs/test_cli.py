@@ -47,6 +47,29 @@ class TestObsReport:
         path.write_text("this is not json\n")
         assert obs_main(["report", str(path)]) == 0
 
+    def test_strict_fails_on_empty_trace(self, tmp_path, capsys):
+        # A recorder that wrote nothing must not pass the CI gate.
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert obs_main(["report", str(path)]) == 0
+        assert obs_main(["report", str(path), "--strict"]) == 1
+        assert "no trace records" in capsys.readouterr().err
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        assert obs_main(["report", str(missing), "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert "absent.jsonl" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unrecognised_file_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b"\xff\xfe\x00binary")
+        assert obs_main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "trace.jsonl" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestTopLevelAlias:
     def test_repro_obs_report(self, trace_path, capsys):

@@ -215,6 +215,25 @@ class TestDiffCLI:
         assert written["regressions"] == 2
         assert written["entries"][0]["name"] == "b"
 
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        # Exit 1 is the regression verdict; a broken input must not
+        # read as one.
+        bench = bench_json(tmp_path / "bench.json", {"b": 1.0})
+        missing = tmp_path / "absent.json"
+        assert obs_main(["diff", str(bench), str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert "absent.json" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unrecognised_file_exits_two(self, tmp_path, capsys):
+        bench = bench_json(tmp_path / "bench.json", {"b": 1.0})
+        other = tmp_path / "notes.txt"
+        other.write_text("not an artifact\n")
+        assert obs_main(["diff", str(other), str(bench)]) == 2
+        err = capsys.readouterr().err
+        assert "neither" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_custom_thresholds(self, tmp_path):
         base = bench_json(tmp_path / "base.json", {"b": 1.0})
         other = bench_json(tmp_path / "other.json", {"b": 1.3})

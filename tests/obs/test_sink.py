@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.sink import (
-    CsvSink,
-    JsonlSink,
-    recover_csv_rows,
-    recover_jsonl_records,
-)
+from repro.obs.sink import JsonlSink, recover_jsonl_records
 from repro.obs.trace import TraceRecorder, recording
 
 
@@ -41,90 +36,6 @@ class TestJsonlSink:
         assert sink.closed
         assert sink.records_written == 2
         assert len(path.read_text().splitlines()) == 2
-
-
-class TestCsvSink:
-    def test_header_immediate_and_rows_flushed(self, tmp_path):
-        path = tmp_path / "table.csv"
-        sink = CsvSink(path, columns=["scene", "latency_ms"])
-        assert path.read_text().strip() == "scene,latency_ms"
-        sink.write({"scene": "walking", "latency_ms": 12.5})
-        lines = path.read_text().strip().splitlines()
-        assert lines[1] == "walking,12.5"
-        sink.close()
-
-    def test_missing_keys_blank_unknown_keys_raise(self, tmp_path):
-        with CsvSink(tmp_path / "t.csv", columns=["a", "b"]) as sink:
-            sink.write({"a": 1})  # missing b -> empty cell
-            with pytest.raises(ValueError, match="undeclared"):
-                sink.write({"a": 1, "c": 2})
-
-    def test_needs_columns(self, tmp_path):
-        with pytest.raises(ValueError):
-            CsvSink(tmp_path / "t.csv", columns=[])
-
-
-class TestCsvRecovery:
-    def _torn_file(self, tmp_path):
-        # A CsvSink file whose process died mid-row: two durable rows,
-        # then a final row cut off without its newline.
-        path = tmp_path / "sweep.csv"
-        with CsvSink(path, columns=["scene", "latency_ms"]) as sink:
-            sink.write({"scene": "a", "latency_ms": 1.5})
-            sink.write({"scene": "b", "latency_ms": 2.5})
-        with path.open("ab") as handle:
-            handle.write(b"c,3")  # killed before finishing "c,3.5\r\n"
-        return path
-
-    def test_partial_final_row_dropped_not_parsed_short(self, tmp_path):
-        path = self._torn_file(tmp_path)
-        rows = recover_csv_rows(path, columns=["scene", "latency_ms"])
-        assert rows == [
-            {"scene": "a", "latency_ms": "1.5"},
-            {"scene": "b", "latency_ms": "2.5"},
-        ]
-
-    def test_row_torn_between_cr_and_lf_is_dropped(self, tmp_path):
-        # csv writes \r\n line endings; a kill between the \r and the \n
-        # must count as torn. Text-mode newline translation would hide
-        # this — the reader has to look at raw bytes.
-        path = tmp_path / "t.csv"
-        with CsvSink(path, columns=["scene", "latency_ms"]) as sink:
-            sink.write({"scene": "a", "latency_ms": 1.0})
-        with path.open("ab") as handle:
-            handle.write(b"b,2.0\r")  # no \n: not durable
-        rows = recover_csv_rows(path, columns=["scene", "latency_ms"])
-        assert rows == [{"scene": "a", "latency_ms": "1.0"}]
-
-    def test_durable_short_row_raises(self, tmp_path):
-        path = tmp_path / "t.csv"
-        with CsvSink(path, columns=["a", "b"]) as sink:
-            sink.write({"a": 1, "b": 2})
-        with path.open("ab") as handle:
-            handle.write(b"only-one-cell\r\n")  # durable AND short: corrupt
-        with pytest.raises(ValueError, match="cells"):
-            recover_csv_rows(path, columns=["a", "b"])
-
-    def test_header_mismatch_raises(self, tmp_path):
-        path = tmp_path / "t.csv"
-        with CsvSink(path, columns=["a", "b"]) as sink:
-            sink.write({"a": 1, "b": 2})
-        with pytest.raises(ValueError, match="header"):
-            recover_csv_rows(path, columns=["x", "y"])
-
-    def test_truncate_cuts_back_to_last_complete_row(self, tmp_path):
-        path = self._torn_file(tmp_path)
-        recover_csv_rows(path, columns=["scene", "latency_ms"], truncate=True)
-        assert not path.read_bytes().endswith(b"c,3")
-        # After truncation the file parses clean end to end.
-        rows = recover_csv_rows(path, columns=["scene", "latency_ms"])
-        assert len(rows) == 2
-
-    def test_missing_and_empty_files(self, tmp_path):
-        assert recover_csv_rows(tmp_path / "absent.csv") == []
-        empty = tmp_path / "empty.csv"
-        empty.write_bytes(b"")
-        assert recover_csv_rows(empty) == []
 
 
 class TestJsonlRecovery:
@@ -162,6 +73,23 @@ class TestJsonlRecovery:
         with JsonlSink(path) as sink:
             sink.write({"a": 3})
         assert recover_jsonl_records(path) == [{"a": 3}]
+
+    def test_record_torn_between_cr_and_lf_is_dropped(self, tmp_path):
+        # A kill between a "\r" and its "\n" leaves no durable line end.
+        # Text-mode newline translation would hide this — the reader has
+        # to look at raw bytes.
+        path = tmp_path / "j.jsonl"
+        with JsonlSink(path) as sink:
+            sink.write({"a": 1})
+        with path.open("ab") as handle:
+            handle.write(b'{"a": 2}\r')  # no \n: not durable
+        assert recover_jsonl_records(path) == [{"a": 1}]
+
+    def test_missing_and_empty_files(self, tmp_path):
+        assert recover_jsonl_records(tmp_path / "absent.jsonl") == []
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        assert recover_jsonl_records(empty) == []
 
 
 class TestStreamingRecorder:

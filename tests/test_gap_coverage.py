@@ -5,19 +5,12 @@ import pytest
 
 from repro.mdp.state import CompressionAction, PartitionAction
 from repro.model.blocks import slice_into_blocks
-from repro.model.spec import LayerSpec, LayerType, ModelSpec, TensorShape, conv, fc
+from repro.model.spec import LayerSpec, LayerType, ModelSpec, TensorShape, conv
 from repro.network.traces import BandwidthTrace
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.nn.zoo import alexnet, resnet50, vgg19
 from repro.runtime.field import FieldConditions, make_transfer_noise
-from repro.search.multitier import (
-    BACKHAUL_TRANSFER,
-    FOG_SERVER,
-    ThreeTierEstimator,
-)
-from repro.latency.devices import CLOUD_SERVER, XIAOMI_MI_6X
-from repro.latency.transfer import WIFI_TRANSFER
 
 
 class TestActions:
@@ -92,33 +85,6 @@ class TestFieldTransferNoise:
         noise = make_transfer_noise(FieldConditions(transfer_jitter=1.0))
         rng = np.random.default_rng(1)
         assert all(noise(rng) > 0 for _ in range(100))
-
-
-class TestMultitierEdgeCases:
-    @pytest.fixture
-    def estimator(self):
-        return ThreeTierEstimator(
-            XIAOMI_MI_6X, FOG_SERVER, CLOUD_SERVER, WIFI_TRANSFER, BACKHAUL_TRANSFER
-        )
-
-    @pytest.fixture
-    def tiny(self):
-        return ModelSpec(
-            [conv(4, 3, 1, 1), LayerSpec(LayerType.GLOBAL_AVG_POOL), fc(2)],
-            TensorShape(3, 8, 8),
-        )
-
-    def test_all_fog_independent_of_backhaul(self, estimator, tiny):
-        a = estimator.estimate(tiny, 0, len(tiny), 10.0, 1.0)
-        b = estimator.estimate(tiny, 0, len(tiny), 10.0, 1000.0)
-        assert a.total_ms == pytest.approx(b.total_ms)
-
-    def test_edge_plus_cloud_skipping_fog(self, estimator, tiny):
-        breakdown = estimator.estimate(tiny, 1, 1, 10.0, 100.0)
-        assert breakdown.fog_ms == 0.0
-        assert breakdown.access_transfer_ms > 0.0
-        assert breakdown.backhaul_transfer_ms > 0.0
-        assert breakdown.cloud_ms > 0.0
 
 
 class TestSpecMisc:
