@@ -6,8 +6,9 @@ level; the batched path runs each level through the controllers as one
 optimizer step per controller. The bench replays the same episode budget
 through the current ``model_tree_search`` and through a faithful
 reconstruction of the pre-batching path — one backbone pass per node
-(``sample`` / ``sample_compression``), inline concatenation folds, and
-one REINFORCE backward/step per node — asserting the batched episodes
+(one-row ``sample_partition_batch`` / ``sample_compression_batch`` calls),
+inline concatenation folds, and one REINFORCE backward/step per node (a
+one-node ``update_episode`` each) — asserting the batched episodes
 are at least 3x faster (locally ≥5x; the CI gate leaves headroom for
 noisy runners). The measured speedup lands in ``extra_info`` so
 ``make bench-episode`` persists it in ``BENCH_episode.json``.
@@ -57,16 +58,18 @@ def _legacy_generate_node(
     """The pre-batching forward generation: one controller pass per node."""
     block = blocks[block_index]
     force = bool(schedule.should_force(episode, block_index, rng))
-    cut, partition_token = policy.sample_partition(
-        block.model, bandwidth, rng, force_no_partition=force
-    )
+    cut, partition_token = policy.sample_partition_batch(
+        block.model, [bandwidth], rng, [force]
+    )[0]
     partitioned = cut != NO_PARTITION
     edge_len = len(block.model) if not partitioned else cut
     tokens = [partition_token] if partition_token is not None else []
     edge_spec = None
     if edge_len > 0:
         edge_raw = block.model.slice(0, edge_len)
-        names, compression_token = policy.sample_compression(edge_raw, bandwidth, rng)
+        names, compression_token = policy.sample_compression_batch(
+            [edge_raw], [bandwidth], rng
+        )[0]
         if compression_token is not None:
             tokens.append(compression_token)
         edge_spec = apply_compression_plan(edge_raw, names, context.registry).spec
@@ -131,7 +134,8 @@ def _run_legacy(context, policy):
         _legacy_backward(root)
         for node in root.iter_nodes():
             if node.tokens:
-                policy.update(node.tokens, node.reward)  # one step per node
+                # One step per node.
+                policy.update_episode([(node.tokens, node.reward)])
 
 
 def _run_batched(context, policy):

@@ -10,15 +10,16 @@ Usage::
     python -m repro.obs diff base.json other.json    # regression verdicts
 
 Also reachable as ``python -m repro obs ...``. ``report`` exits 0 on a
-clean trace; ``--strict`` exits 1 when any line failed to parse or the
-trace holds no records at all (the acceptance bar for a healthy trace
-is at least one record and zero unparsed lines). ``diff`` compares two
-artifacts — ``BENCH_*.json``, ``report --json`` output, or raw traces —
-and exits 1 when any directional metric regressed past ``--fail``
-(default 25%); drift past ``--warn`` (default 10%) is annotated but
-passes. Both exit 2, with a one-line message on stderr, when an input
-is missing or in no recognised format, so a broken input never reads
-as a regression verdict.
+clean trace, and also on an empty one or one with some unparsed lines;
+``--strict`` exits 1 when any line failed to parse or the trace holds
+no records at all (the acceptance bar for a healthy trace is at least
+one record and zero unparsed lines). ``diff`` compares two artifacts —
+``BENCH_*.json``, ``report --json`` output, or raw traces — and exits 1
+when any directional metric regressed past ``--fail`` (default 25%);
+drift past ``--warn`` (default 10%) is annotated but passes. Both exit
+2, with a one-line message on stderr, when an input is missing or in no
+recognised format — for ``report``, unparsed lines and not one record —
+so a broken input never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .diff import diff_artifacts
+from .diff import diff_artifacts, unrecognised_input
 from .report import render_report, summarize_paths
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     summary = summarize_paths(args.trace)
+    if summary.unparsed and not summary.records:
+        raise unrecognised_input(summary.path, summary.unparsed)
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
     else:

@@ -162,6 +162,14 @@ class DiffReport:
 # ---------------------------------------------------------------------------
 # Artifact loading
 # ---------------------------------------------------------------------------
+def unrecognised_input(path: object, unparsed: int) -> ValueError:
+    """The error for an input with no record in any known format."""
+    return ValueError(
+        f"{path}: neither bench JSON, report JSON nor parseable "
+        f"trace JSONL ({unparsed} unparsed line(s))"
+    )
+
+
 def load_artifact(path: PathLike) -> Tuple[str, Dict[str, Any]]:
     """Load one artifact; returns ``(kind, metrics)``.
 
@@ -183,10 +191,7 @@ def load_artifact(path: PathLike) -> Tuple[str, Dict[str, Any]]:
     # Fall back to trace JSONL (one JSON record per line).
     records, unparsed = parse_jsonl(text, str(path))
     if not records:
-        raise ValueError(
-            f"{path}: neither bench JSON, report JSON nor parseable "
-            f"trace JSONL ({unparsed} unparsed line(s))"
-        )
+        raise unrecognised_input(path, unparsed)
     summary = summarize_records(records, unparsed, path=str(path))
     return "report", _summary_metrics(summary)
 

@@ -201,19 +201,6 @@ class HistogramStat:
         hist.max = float(state["max"])  # type: ignore[arg-type]
         return hist
 
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, Prometheus-style.
-
-        The final pair uses ``inf`` and equals the total count.
-        """
-        pairs: List[Tuple[float, int]] = []
-        cumulative = 0
-        for bound, bucket_count in zip(self.bounds, self.counts):
-            cumulative += bucket_count
-            pairs.append((bound, cumulative))
-        pairs.append((float("inf"), self.count))
-        return pairs
-
     def to_dict(self) -> Dict[str, float]:
         return {
             "count": self.count,

@@ -12,18 +12,16 @@ REINFORCE gradients flow back through the LSTM. All draws from one
 backbone pass share one :class:`CategoricalHead` tape node; the per-row
 log-probs and entropies are scalar views into it.
 
-Both controllers expose a batched entry point (``sample_batch``): N
+Each controller samples through one entry point, ``sample_batch``: N
 requests against the same block — the K same-block-different-bandwidth
 forks of a tree level, or the per-fork edge slices — run through the
-backbone as one (N, T, W) pass instead of N sequential calls. The single
-``sample`` methods delegate to the batch path with N = 1, so batched and
-sequential sampling are the same code and consume the RNG identically in
-request order.
+backbone as one (N, T, W) pass. A single request is a batch of one. Rows
+draw from the RNG in request order, so one call of N rows and N calls of
+one row draw the same actions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,7 +134,6 @@ class PartitionController(Module):
         width = 2 * hidden_size
         # Per-position cut score (cut before layer i) and a no-partition
         # score read from the last hidden state.
-        self.last_entropy: Optional[Tensor] = None
         self.cut_head = Tensor(
             xavier_uniform((width, 1), width, 1, rng), requires_grad=True,
             name="partition.cut_head",
@@ -151,14 +148,6 @@ class PartitionController(Module):
         # samples — the same pathology the paper's fair-chance exploration
         # counters at tree level.
         self.bias = Tensor(np.array([0.0, 2.0]), requires_grad=True, name="partition.bias")
-
-    def logits(self, spec: ModelSpec, bandwidth_mbps: float) -> Tensor:
-        """The L+1 logits for a block spec: [cut@0 .. cut@L-1, no-partition]."""
-        encoded = Tensor(encode_model(spec, bandwidth_mbps))
-        hidden = self.backbone(encoded)[0]  # (T, width)
-        cut_scores = hidden.matmul(self.cut_head).reshape(-1) + self.bias[0]
-        keep_score = hidden[-1].reshape(1, -1).matmul(self.keep_head).reshape(-1) + self.bias[1]
-        return concatenate([cut_scores, keep_score], axis=0)
 
     def logits_batch(
         self, spec: ModelSpec, bandwidths_mbps: Sequence[float]
@@ -185,10 +174,13 @@ class PartitionController(Module):
         """Sample N cuts for one block in a single backbone pass.
 
         Returns one ``(cut_index, log_prob, entropy)`` triple per requested
-        bandwidth, in request order — which is also the RNG consumption
-        order, so a batch of one draws exactly what a sequential call would.
-        Forced rows (fair-chance exploration, Sec. VII-A) never sample a
-        distribution; their entropy is ``None`` and they consume no RNG.
+        bandwidth, in request order, which is also the RNG consumption
+        order. ``cut_index`` in [0, L) cuts before that layer (the cloud
+        takes [cut_index, L)); ``NO_PARTITION`` keeps the block on the edge.
+        Forced rows (fair-chance exploration, Sec. VII-A) take
+        ``NO_PARTITION`` without sampling: they consume no RNG and their
+        entropy is ``None``, but their log-prob is still returned so the
+        update stays on-policy for the chosen action.
         """
         n = len(bandwidths_mbps)
         flags = list(force_flags) if force_flags is not None else [False] * n
@@ -207,36 +199,6 @@ class PartitionController(Module):
             results.append((cut, head.log_prob(row), head.entropy(row)))
         return results
 
-    def sample(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-        force_no_partition: bool = False,
-    ) -> Tuple[int, Tensor]:
-        """Sample a cut: returns (cut_index, log-prob).
-
-        ``cut_index`` in [0, L) cuts before that layer (cloud takes
-        [cut_index, L)); ``NO_PARTITION`` keeps the block on the edge.
-        ``force_no_partition`` implements the fair-chance exploration
-        override (Sec. VII-A) — the log-prob of the forced choice is still
-        returned so the update remains on-policy for the chosen action.
-        ``last_entropy`` is reset to ``None`` on the forced path (no
-        distribution was sampled, so the previous node's entropy must not
-        leak to a later reader).
-        """
-        cut, log_prob, entropy = self.sample_batch(
-            spec, [bandwidth_mbps], rng, [force_no_partition]
-        )[0]
-        self.last_entropy = entropy
-        return cut, log_prob
-
-    def greedy(self, spec: ModelSpec, bandwidth_mbps: float) -> int:
-        """Arg-max cut choice (used after training converges)."""
-        logits = self.logits(spec, bandwidth_mbps).data
-        index = int(np.argmax(logits))
-        return NO_PARTITION if index == len(spec) else index
-
 
 class CompressionController(Module):
     """Chooses a compression technique for every layer of a block."""
@@ -254,7 +216,6 @@ class CompressionController(Module):
         self.backbone = BiLSTM(ENCODING_WIDTH, hidden_size, rng=rng)
         width = 2 * hidden_size
         count = len(self.technique_names)
-        self.last_entropies: List[Tensor] = []
         self.head = Tensor(
             xavier_uniform((width, count), width, count, rng),
             requires_grad=True,
@@ -299,9 +260,12 @@ class CompressionController(Module):
 
         Specs of equal length are grouped into one (N, T, W) backbone pass
         and one fused head matmul; sampling then runs in *request order*
-        regardless of grouping, so the RNG stream matches N sequential
-        :meth:`sample` calls over the same requests. Returns one
-        ``(names, log_probs, entropies)`` triple per request.
+        regardless of grouping, so the RNG stream matches N one-row calls
+        over the same requests. Returns one ``(names, log_probs,
+        entropies)`` triple per request. Inapplicable techniques are
+        masked; layers where at most one technique applies are not sampled
+        (their action carries no gradient signal) and emit that technique's
+        name directly.
         """
         if len(specs) != len(bandwidths_mbps):
             raise ValueError("specs and bandwidths_mbps must have equal length")
@@ -350,35 +314,3 @@ class CompressionController(Module):
                 entropies.append(head.entropy(row))
             results.append((names, log_probs, entropies))
         return results
-
-    def sample(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-    ) -> Tuple[List[str], List[Tensor]]:
-        """Sample one technique name per layer; returns (names, log-probs).
-
-        Inapplicable techniques are masked; layers where at most one
-        technique applies are skipped (their action carries no gradient
-        signal) and emit that technique's name directly.
-        """
-        names, log_probs, entropies = self.sample_batch(
-            [spec], [bandwidth_mbps], rng
-        )[0]
-        self.last_entropies = entropies
-        return names, log_probs
-
-    def greedy(self, spec: ModelSpec, bandwidth_mbps: float) -> List[str]:
-        """Arg-max technique per layer (used after training converges)."""
-        encoded = Tensor(encode_model(spec, bandwidth_mbps))
-        hidden = self.backbone(encoded)[0]
-        all_logits = (hidden.matmul(self.head) + self.head_bias).data  # (T, C)
-        masks = self._applicable_mask(spec)
-        names = self._sole_applicable_names(masks)
-        for i in range(len(spec)):
-            mask = masks[i]
-            if mask.sum() > 1:
-                logits = np.where(mask, all_logits[i], -1e9)
-                names[i] = self.technique_names[int(np.argmax(logits))]
-        return names

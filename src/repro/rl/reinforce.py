@@ -10,7 +10,6 @@ applies a single gradient step per episode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,10 +48,6 @@ class EMABaseline:
         self.value = self.decay * self.value + (1.0 - self.decay) * reward
         return previous
 
-    def advantage(self, reward: float) -> float:
-        baseline = self.update(reward)
-        return reward - baseline
-
 
 class ReinforceTrainer:
     """Applies Eqn. 10 updates to one controller."""
@@ -76,53 +71,6 @@ class ReinforceTrainer:
         #: Label carried on ``rl.update`` trace events, so the report can
         #: plot the partition and compression controllers separately.
         self.name = name
-        self.history: List[float] = []
-
-    def update(
-        self,
-        log_probs: Sequence[Tensor],
-        reward: float,
-        entropies: Optional[Sequence[Tensor]] = None,
-    ) -> float:
-        """One episode update; returns the advantage used.
-
-        ``log_probs`` are the log-probabilities of every action the
-        controller took this episode (the Monte-Carlo return ``G`` is the
-        single terminal reward, since intermediate states earn nothing and
-        γ = 1). ``entropies`` (if given and ``entropy_coeff > 0``) add the
-        standard exploration bonus, discouraging premature collapse of the
-        action distribution.
-
-        Scaling contract (deliberate): ``reward_scale`` multiplies the
-        *advantage* only — it sizes the gradient step. Both ``self.history``
-        and the EMA baseline track the **raw** reward, so reward telemetry
-        and the variance-reduction state are independent of the scale knob
-        (rescaling would otherwise change what the baseline converges to).
-        """
-        self.history.append(reward)
-        baseline_value = self.baseline.update(reward)
-        advantage = (reward - baseline_value) * self.reward_scale
-        recorder = get_recorder()
-        if recorder.enabled:
-            mean_entropy = (
-                float(np.mean([np.mean(e.data) for e in entropies]))
-                if entropies
-                else None
-            )
-            recorder.event(
-                "rl.update",
-                controller=self.name,
-                reward=float(reward),
-                baseline=float(baseline_value),
-                advantage=float(advantage),
-                entropy=mean_entropy,
-                actions=len(log_probs),
-            )
-        terms = self._loss_terms(log_probs, entropies, advantage)
-        if not terms:
-            return advantage
-        self._step(weighted_sum(terms))
-        return advantage
 
     def _loss_terms(
         self,
@@ -143,25 +91,6 @@ class ReinforceTrainer:
         loss.backward()
         self.optimizer.clip_grad_norm(self.max_grad_norm)
         self.optimizer.step()
-
-    def update_many(
-        self,
-        episodes: Sequence[Tuple],
-    ) -> None:
-        """Batch of episodes, applied one :meth:`update` step each.
-
-        Each episode is ``(log_probs, reward)`` or
-        ``(log_probs, reward, entropies)`` — the 3-tuple form carries the
-        entropy bonus through, so replaying episodes in a batch is exactly
-        equivalent to calling :meth:`update` once per episode (an earlier
-        revision dropped the entropies on replay). This sequential replay
-        is kept as the reference semantics; the search hot path batches all
-        of a tree episode's nodes into one optimizer step via
-        :meth:`update_episode`.
-        """
-        for episode in episodes:
-            log_probs, reward, entropies = _unpack_episode(episode)
-            self.update(log_probs, reward, entropies=entropies)
 
     def episode_loss(
         self,
@@ -185,25 +114,35 @@ class ReinforceTrainer:
         """
         terms: List[Tuple[Tensor, float]] = []
         advantages: List[float] = []
-        for episode in episodes:
-            log_probs, reward, entropies = _unpack_episode(episode)
+        for log_probs, reward, entropies in episodes:
             advantage = (reward - baseline_value) * self.reward_scale
             advantages.append(advantage)
             terms.extend(self._loss_terms(log_probs, entropies, advantage))
         return (weighted_sum(terms) if terms else None), advantages
 
     def update_episode(self, episodes: Sequence[Tuple]) -> List[float]:
-        """All of one search episode's node updates as a single Adam step.
+        """One Adam step for all of a search episode's node updates.
 
-        The sequential path (:meth:`update` per node) replays one
-        backward/step per tree node and lets the EMA baseline drift *inside*
-        the episode, making sibling advantages depend on preorder position.
-        Here the baseline is snapshotted once at episode start, every node's
-        advantage is computed against that snapshot, and one accumulated
-        loss drives one ``backward()`` and one optimizer step. Rewards still
-        fold into the EMA (and ``self.history``) in arrival order, so the
-        baseline *after* the episode matches the sequential path's end
-        state. Returns the per-episode advantages used.
+        Each episode is ``(log_probs, reward, entropies)``: the
+        log-probabilities of every action the controller took for one node
+        (the Monte-Carlo return ``G`` is the node's terminal reward, since
+        intermediate states earn nothing and γ = 1) and the entropies of
+        the distributions it sampled. With ``entropy_coeff > 0`` the
+        entropies add the standard exploration bonus, discouraging
+        premature collapse of the action distribution.
+
+        The EMA baseline is snapshotted once at episode start, every
+        node's advantage is computed against that snapshot, and one
+        accumulated loss drives one ``backward()`` and one optimizer step.
+        Rewards still fold into the EMA in arrival order. A one-episode
+        batch is therefore the classic per-episode REINFORCE update.
+        Returns the per-episode advantages used.
+
+        Scaling contract (deliberate): ``reward_scale`` multiplies the
+        *advantage* only — it sizes the gradient step. The EMA baseline
+        tracks the **raw** reward, so the variance-reduction state is
+        independent of the scale knob (rescaling would otherwise change
+        what the baseline converges to).
         """
         if not episodes:
             return []
@@ -211,9 +150,7 @@ class ReinforceTrainer:
             self.baseline.value if self.baseline.value is not None else 0.0
         )
         recorder = get_recorder()
-        for episode in episodes:
-            log_probs, reward, entropies = _unpack_episode(episode)
-            self.history.append(reward)
+        for log_probs, reward, entropies in episodes:
             self.baseline.update(reward)
             if recorder.enabled:
                 advantage = (reward - baseline_value) * self.reward_scale
@@ -236,13 +173,3 @@ class ReinforceTrainer:
             self._step(loss)
         return advantages
 
-
-def _unpack_episode(
-    episode: Tuple,
-) -> Tuple[Sequence[Tensor], float, Optional[Sequence[Tensor]]]:
-    """Normalize ``(log_probs, reward[, entropies])`` episode tuples."""
-    if len(episode) == 2:
-        log_probs, reward = episode
-        return log_probs, reward, None
-    log_probs, reward, entropies = episode
-    return log_probs, reward, entropies

@@ -107,15 +107,17 @@ def optimal_branch_search(
     for episode in range(episodes):
         get_registry().count("branch.episodes")
         with span("branch.episode", episode=episode, bandwidth_mbps=bandwidth_mbps) as obs_span:
-            cut, partition_token = policy.sample_partition(base, bandwidth_mbps, rng)
+            cut, partition_token = policy.sample_partition_batch(
+                base, [bandwidth_mbps], rng
+            )[0]
             partition_index = len(base) if cut == NO_PARTITION else cut
 
             tokens = [partition_token]
             if partition_index > 0:
                 edge_raw = base.slice(0, partition_index)
-                names, compression_token = policy.sample_compression(
-                    edge_raw, bandwidth_mbps, rng
-                )
+                names, compression_token = policy.sample_compression_batch(
+                    [edge_raw], [bandwidth_mbps], rng
+                )[0]
                 tokens.append(compression_token)
             else:
                 names = []
@@ -124,9 +126,8 @@ def optimal_branch_search(
             result = realize_branch_plan(context, plan, bandwidth_mbps)
 
             # One-episode batch: for a single episode the snapshotted
-            # baseline equals the sequential pre-update EMA, so this is
-            # exactly the historical per-episode update — but through the
-            # same accumulated-loss path the tree search uses.
+            # baseline equals the pre-update EMA, so this is the classic
+            # per-episode REINFORCE update.
             policy.update_episode(
                 [([t for t in tokens if t is not None], result.reward)]
             )

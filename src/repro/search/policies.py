@@ -2,7 +2,8 @@
 
 All search drivers (optimal branch, model tree) pick actions through one
 interface, so swapping the decision engine for random search or ε-greedy —
-the comparison of Fig. 7 — is a constructor argument, not a rewrite.
+the comparison of Fig. 7 — is a constructor argument, not a rewrite. The
+interface is batch-only: a driver with one request passes a batch of one.
 """
 
 from __future__ import annotations
@@ -33,25 +34,13 @@ def _require_positive_bandwidths(bandwidths_mbps: Sequence[float]) -> None:
 class SearchPolicy(Protocol):
     """Interface all search strategies implement.
 
-    The batch methods serve the vectorized tree episode: one call covers
-    all pending requests of a tree level (same block, different
-    bandwidths), and ``update_episode`` folds every node's
-    (tokens, reward) pair of one episode into a single policy update.
-    Implementations must consume the RNG in request order so a batch of
-    one is indistinguishable from the sequential method.
+    The two sampling methods take a batch of requests: the tree episode
+    passes all pending requests of a tree level (same block, different
+    bandwidths), and branch search passes one row. ``update_episode``
+    folds every node's (tokens, reward) pair of one episode into a single
+    policy update. Implementations must consume the RNG in request order,
+    so one call of N rows is indistinguishable from N calls of one row.
     """
-
-    def sample_partition(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-        force_no_partition: bool = False,
-    ) -> Tuple[int, ActionToken]: ...
-
-    def sample_compression(
-        self, spec: ModelSpec, bandwidth_mbps: float, rng: np.random.Generator
-    ) -> Tuple[List[str], ActionToken]: ...
 
     def sample_partition_batch(
         self,
@@ -67,8 +56,6 @@ class SearchPolicy(Protocol):
         bandwidths_mbps: Sequence[float],
         rng: np.random.Generator,
     ) -> List[Tuple[List[str], ActionToken]]: ...
-
-    def update(self, tokens: Sequence[ActionToken], reward: float) -> None: ...
 
     def update_episode(
         self, updates: Sequence[Tuple[Sequence[ActionToken], float]]
@@ -138,34 +125,12 @@ class RLPolicy:
             for names, log_probs, entropies in results
         ]
 
-    def sample_partition(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-        force_no_partition: bool = False,
-    ) -> Tuple[int, ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        return self.sample_partition_batch(
-            spec, [bandwidth_mbps], rng, [force_no_partition]
-        )[0]
-
-    def sample_compression(
-        self, spec: ModelSpec, bandwidth_mbps: float, rng: np.random.Generator
-    ) -> Tuple[List[str], ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        return self.sample_compression_batch([spec], [bandwidth_mbps], rng)[0]
-
     def _trainer_for(self, kind: str) -> ReinforceTrainer:
         return (
             self.partition_trainer
             if kind == "partition"
             else self.compression_trainer
         )
-
-    def update(self, tokens: Sequence[ActionToken], reward: float) -> None:
-        for kind, log_probs, entropies in tokens:
-            self._trainer_for(kind).update(log_probs, reward, entropies=entropies)
 
     def update_episode(
         self, updates: Sequence[Tuple[Sequence[ActionToken], float]]
@@ -192,29 +157,6 @@ class RandomPolicy:
     def __init__(self, registry: TechniqueRegistry) -> None:
         self.registry = registry
 
-    def sample_partition(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-        force_no_partition: bool = False,
-    ) -> Tuple[int, ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        if force_no_partition:
-            return NO_PARTITION, None
-        index = int(rng.integers(0, len(spec) + 1))
-        return (NO_PARTITION if index == len(spec) else index), None
-
-    def sample_compression(
-        self, spec: ModelSpec, bandwidth_mbps: float, rng: np.random.Generator
-    ) -> Tuple[List[str], ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        names = []
-        for i in range(len(spec)):
-            options = [t.name for t in self.registry.applicable(spec, i)]
-            names.append(options[int(rng.integers(0, len(options)))] if options else "ID")
-        return names, None
-
     def sample_partition_batch(
         self,
         spec: ModelSpec,
@@ -223,11 +165,14 @@ class RandomPolicy:
         force_flags: Optional[Sequence[bool]] = None,
     ) -> List[Tuple[int, ActionToken]]:
         _require_positive_bandwidths(bandwidths_mbps)
-        flags = _normalized_flags(force_flags, len(bandwidths_mbps))
-        return [
-            self.sample_partition(spec, bw, rng, force_no_partition=flag)
-            for bw, flag in zip(bandwidths_mbps, flags)
-        ]
+        results: List[Tuple[int, ActionToken]] = []
+        for force in _normalized_flags(force_flags, len(bandwidths_mbps)):
+            if force:
+                results.append((NO_PARTITION, None))
+                continue
+            index = int(rng.integers(0, len(spec) + 1))
+            results.append((NO_PARTITION if index == len(spec) else index, None))
+        return results
 
     def sample_compression_batch(
         self,
@@ -236,13 +181,16 @@ class RandomPolicy:
         rng: np.random.Generator,
     ) -> List[Tuple[List[str], ActionToken]]:
         _require_positive_bandwidths(bandwidths_mbps)
-        return [
-            self.sample_compression(spec, bw, rng)
-            for spec, bw in zip(specs, bandwidths_mbps)
-        ]
-
-    def update(self, tokens: Sequence[ActionToken], reward: float) -> None:
-        return None
+        results: List[Tuple[List[str], ActionToken]] = []
+        for spec in specs:
+            names = []
+            for i in range(len(spec)):
+                options = [t.name for t in self.registry.applicable(spec, i)]
+                names.append(
+                    options[int(rng.integers(0, len(options)))] if options else "ID"
+                )
+            results.append((names, None))
+        return results
 
     def update_episode(
         self, updates: Sequence[Tuple[Sequence[ActionToken], float]]
@@ -282,46 +230,6 @@ class EpsilonGreedyPolicy:
         self._values[key] = ((mean * count + reward) / (count + 1), count + 1)
 
     # -- SearchPolicy ------------------------------------------------------
-    def sample_partition(
-        self,
-        spec: ModelSpec,
-        bandwidth_mbps: float,
-        rng: np.random.Generator,
-        force_no_partition: bool = False,
-    ) -> Tuple[int, ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        if force_no_partition:
-            key = ("p", self._state_key(spec, bandwidth_mbps), NO_PARTITION)
-            return NO_PARTITION, [key]
-        actions = list(range(len(spec))) + [NO_PARTITION]
-        if rng.random() < self.epsilon:
-            action = actions[int(rng.integers(0, len(actions)))]
-        else:
-            state = self._state_key(spec, bandwidth_mbps)
-            action = max(actions, key=lambda a: self._value(("p", state, a)))
-        key = ("p", self._state_key(spec, bandwidth_mbps), action)
-        return action, [key]
-
-    def sample_compression(
-        self, spec: ModelSpec, bandwidth_mbps: float, rng: np.random.Generator
-    ) -> Tuple[List[str], ActionToken]:
-        require_positive(bandwidth_mbps, "bandwidth_mbps")
-        names: List[str] = []
-        keys: List[Tuple] = []
-        state = self._state_key(spec, bandwidth_mbps)
-        for i in range(len(spec)):
-            options = [t.name for t in self.registry.applicable(spec, i)]
-            if not options:
-                names.append("ID")
-                continue
-            if rng.random() < self.epsilon:
-                choice = options[int(rng.integers(0, len(options)))]
-            else:
-                choice = max(options, key=lambda n: self._value(("c", state, i, n)))
-            names.append(choice)
-            keys.append(("c", state, i, choice))
-        return names, keys
-
     def sample_partition_batch(
         self,
         spec: ModelSpec,
@@ -331,10 +239,18 @@ class EpsilonGreedyPolicy:
     ) -> List[Tuple[int, ActionToken]]:
         _require_positive_bandwidths(bandwidths_mbps)
         flags = _normalized_flags(force_flags, len(bandwidths_mbps))
-        return [
-            self.sample_partition(spec, bw, rng, force_no_partition=flag)
-            for bw, flag in zip(bandwidths_mbps, flags)
-        ]
+        actions = list(range(len(spec))) + [NO_PARTITION]
+        results: List[Tuple[int, ActionToken]] = []
+        for bandwidth_mbps, force in zip(bandwidths_mbps, flags):
+            state = self._state_key(spec, bandwidth_mbps)
+            if force:
+                action = NO_PARTITION
+            elif rng.random() < self.epsilon:
+                action = actions[int(rng.integers(0, len(actions)))]
+            else:
+                action = max(actions, key=lambda a: self._value(("p", state, a)))
+            results.append((action, [("p", state, action)]))
+        return results
 
     def sample_compression_batch(
         self,
@@ -343,23 +259,32 @@ class EpsilonGreedyPolicy:
         rng: np.random.Generator,
     ) -> List[Tuple[List[str], ActionToken]]:
         _require_positive_bandwidths(bandwidths_mbps)
-        return [
-            self.sample_compression(spec, bw, rng)
-            for spec, bw in zip(specs, bandwidths_mbps)
-        ]
-
-    def update(self, tokens: Sequence[ActionToken], reward: float) -> None:
-        for token in tokens:
-            if not token:
-                continue
-            for key in token:
-                self._record(key, reward)
+        results: List[Tuple[List[str], ActionToken]] = []
+        for spec, bandwidth_mbps in zip(specs, bandwidths_mbps):
+            names: List[str] = []
+            keys: List[Tuple] = []
+            state = self._state_key(spec, bandwidth_mbps)
+            for i in range(len(spec)):
+                options = [t.name for t in self.registry.applicable(spec, i)]
+                if not options:
+                    names.append("ID")
+                    continue
+                if rng.random() < self.epsilon:
+                    choice = options[int(rng.integers(0, len(options)))]
+                else:
+                    choice = max(options, key=lambda n: self._value(("c", state, i, n)))
+                names.append(choice)
+                keys.append(("c", state, i, choice))
+            results.append((names, keys))
+        return results
 
     def update_episode(
         self, updates: Sequence[Tuple[Sequence[ActionToken], float]]
     ) -> None:
         for tokens, reward in updates:
-            self.update(tokens, reward)
+            for token in tokens:
+                for key in token or ():
+                    self._record(key, reward)
 
 
 def _normalized_flags(

@@ -5,6 +5,8 @@ Each test runs the real pipeline at a reduced episode budget and asserts the
 absolute numbers (see EXPERIMENTS.md).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,21 @@ class TestFig7:
         by_name = {c.method: c.max_reward for c in curves}
         assert by_name["rl"] >= by_name["random"] - 1e-9
         assert by_name["rl"] >= by_name["epsilon_greedy"] - 1e-9
+
+    def test_seeded_curves_golden(self, curves):
+        """Exact seeded curves of all three methods. ``random`` and
+        ``epsilon_greedy`` run nowhere else, so this is what pins their
+        sampling rules and RNG consumption."""
+        digest = hashlib.sha256()
+        for curve in curves:
+            digest.update(
+                repr(
+                    (curve.method, curve.reward_history, curve.best_history)
+                ).encode()
+            )
+        assert digest.hexdigest() == (
+            "27b4ad6a8257c5ef2d845cec04833a9d0902303c955b68a1aa3f067aa23c34c4"
+        )
 
 
 class TestFig8:

@@ -36,16 +36,31 @@ class TestObsReport:
     def test_strict_passes_clean_trace(self, trace_path):
         assert obs_main(["report", str(trace_path), "--strict"]) == 0
 
-    def test_strict_fails_on_unparsed(self, tmp_path, capsys):
-        path = tmp_path / "broken.jsonl"
-        path.write_text("this is not json\n")
-        assert obs_main(["report", str(path), "--strict"]) == 1
+    def test_strict_fails_on_unparsed(self, trace_path, capsys):
+        with trace_path.open("a") as handle:
+            handle.write("this is not json\n")
+        assert obs_main(["report", str(trace_path), "--strict"]) == 1
         assert "unparsed" in capsys.readouterr().err
 
-    def test_lenient_tolerates_unparsed(self, tmp_path):
+    def test_lenient_tolerates_unparsed(self, trace_path):
+        with trace_path.open("a") as handle:
+            handle.write("this is not json\n")
+        assert obs_main(["report", str(trace_path)]) == 0
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_garbage_only_exits_two_like_diff(self, tmp_path, capsys, strict):
+        # Unparsed lines and not one record: an unrecognised input, not a
+        # trace with a few bad lines. ``diff`` rejects the same file.
         path = tmp_path / "broken.jsonl"
         path.write_text("this is not json\n")
-        assert obs_main(["report", str(path)]) == 0
+        assert obs_main(["diff", str(path), str(path)]) == 2
+        diff_err = capsys.readouterr().err
+        argv = ["report", str(path)] + (["--strict"] if strict else [])
+        assert obs_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == diff_err.replace(" diff: ", " report: ", 1)
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_strict_fails_on_empty_trace(self, tmp_path, capsys):
         # A recorder that wrote nothing must not pass the CI gate.
@@ -76,7 +91,7 @@ class TestTopLevelAlias:
         assert repro_main(["obs", "report", str(trace_path)]) == 0
         assert "trace report" in capsys.readouterr().out
 
-    def test_repro_obs_strict_propagates_exit(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text("garbage\n")
-        assert repro_main(["obs", "report", str(path), "--strict"]) == 1
+    def test_repro_obs_strict_propagates_exit(self, trace_path):
+        with trace_path.open("a") as handle:
+            handle.write("garbage\n")
+        assert repro_main(["obs", "report", str(trace_path), "--strict"]) == 1

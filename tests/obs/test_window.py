@@ -246,7 +246,8 @@ class TestHistogramMergeabilityProperty:
         assert merged.state_dict() == single.state_dict()
         for q in (0.5, 0.9, 0.99):
             assert merged.quantile(q) == pytest.approx(single.quantile(q))
-        assert merged.bucket_counts() == single.bucket_counts()
+        assert merged.counts == single.counts
+        assert merged.count == single.count
 
     def test_overflow_bucket_merges(self):
         a, b = HistogramStat(), HistogramStat()
@@ -255,9 +256,7 @@ class TestHistogramMergeabilityProperty:
         a.merge(b)
         assert a.counts[-1] == 2
         assert a.max == pytest.approx(3e9)
-        bound, cumulative = a.bucket_counts()[-1]
-        assert bound == float("inf")
-        assert cumulative == 2
+        assert a.count == 2
 
     def test_merging_empty_is_identity_both_ways(self):
         hist = HistogramStat()

@@ -14,6 +14,7 @@ from repro.rl.controller import (
 from repro.rl.encoding import ENCODING_WIDTH, encode_layer, encode_model
 from repro.rl.exploration import FairChanceSchedule
 from repro.rl.reinforce import EMABaseline, ReinforceTrainer
+from repro.search.policies import RLPolicy
 
 
 @pytest.fixture
@@ -60,31 +61,24 @@ class TestEncoding:
 class TestPartitionController:
     def test_logits_length(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
-        logits = controller.logits(small_spec, 10.0)
-        assert logits.shape == (len(small_spec) + 1,)
+        logits = controller.logits_batch(small_spec, [10.0])
+        assert logits.shape == (1, len(small_spec) + 1)
 
     def test_sample_in_range(self, small_spec, rng):
         controller = PartitionController(hidden_size=8, seed=0)
-        for _ in range(20):
-            cut, log_prob = controller.sample(small_spec, 10.0, rng)
+        for cut, log_prob, _ in controller.sample_batch(small_spec, [10.0] * 20, rng):
             assert cut == NO_PARTITION or 0 <= cut < len(small_spec)
             assert log_prob.data <= 0.0
 
     def test_forced_no_partition(self, small_spec, rng):
         controller = PartitionController(hidden_size=8, seed=0)
-        cut, log_prob = controller.sample(
-            small_spec, 10.0, rng, force_no_partition=True
-        )
+        cut, log_prob, _ = controller.sample_batch(small_spec, [10.0], rng, [True])[0]
         assert cut == NO_PARTITION
         assert log_prob.data <= 0.0
 
-    def test_greedy_deterministic(self, small_spec):
-        controller = PartitionController(hidden_size=8, seed=0)
-        assert controller.greedy(small_spec, 10.0) == controller.greedy(small_spec, 10.0)
-
     def test_log_prob_gradient_reaches_lstm(self, small_spec, rng):
         controller = PartitionController(hidden_size=8, seed=0)
-        _, log_prob = controller.sample(small_spec, 10.0, rng)
+        _, log_prob, _ = controller.sample_batch(small_spec, [10.0], rng)[0]
         log_prob.backward()
         grads = [p.grad for p in controller.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
@@ -92,7 +86,7 @@ class TestPartitionController:
     def test_keep_bias_favors_no_partition_initially(self, vgg11_spec, rng):
         controller = PartitionController(hidden_size=8, seed=1)
         outcomes = [
-            controller.sample(vgg11_spec, 10.0, rng)[0] for _ in range(60)
+            cut for cut, _, _ in controller.sample_batch(vgg11_spec, [10.0] * 60, rng)
         ]
         keep_rate = sum(1 for o in outcomes if o == NO_PARTITION) / len(outcomes)
         assert keep_rate > 2.0 / (len(vgg11_spec) + 1)
@@ -101,21 +95,20 @@ class TestPartitionController:
 class TestCompressionController:
     def test_one_action_per_layer(self, small_spec, registry, rng):
         controller = CompressionController(registry, hidden_size=8, seed=0)
-        names, log_probs = controller.sample(small_spec, 10.0, rng)
+        names, _, _ = controller.sample_batch([small_spec], [10.0], rng)[0]
         assert len(names) == len(small_spec)
         assert all(name in registry for name in names)
 
     def test_actions_respect_applicability(self, small_spec, registry, rng):
         controller = CompressionController(registry, hidden_size=8, seed=0)
-        for _ in range(10):
-            names, _ = controller.sample(small_spec, 10.0, rng)
+        for names, _, _ in controller.sample_batch([small_spec] * 10, [10.0] * 10, rng):
             for i, name in enumerate(names):
                 if name != "ID":
                     assert registry.get(name).applies_to(small_spec, i)
 
     def test_identity_only_layers_skipped(self, small_spec, registry, rng):
         controller = CompressionController(registry, hidden_size=8, seed=0)
-        names, log_probs = controller.sample(small_spec, 10.0, rng)
+        _, log_probs, _ = controller.sample_batch([small_spec], [10.0], rng)[0]
         compressible = sum(
             1 for i in range(len(small_spec))
             if len(registry.applicable(small_spec, i)) > 1
@@ -124,18 +117,13 @@ class TestCompressionController:
 
     def test_id_bias_makes_initial_plans_sparse(self, vgg11_spec, registry, rng):
         controller = CompressionController(registry, hidden_size=8, seed=0)
-        counts = []
-        for _ in range(10):
-            names, _ = controller.sample(vgg11_spec, 10.0, rng)
-            counts.append(sum(1 for n in names if n != "ID"))
+        counts = [
+            sum(1 for n in names if n != "ID")
+            for names, _, _ in controller.sample_batch(
+                [vgg11_spec] * 10, [10.0] * 10, rng
+            )
+        ]
         assert np.mean(counts) < 5.0  # far below the ~8 of a uniform policy
-
-    def test_greedy_matches_applicability(self, small_spec, registry):
-        controller = CompressionController(registry, hidden_size=8, seed=0)
-        names = controller.greedy(small_spec, 10.0)
-        for i, name in enumerate(names):
-            if name != "ID":
-                assert registry.get(name).applies_to(small_spec, i)
 
 
 class TestEMABaseline:
@@ -144,15 +132,15 @@ class TestEMABaseline:
         episode's gradient is NOT discarded (regression: it used to return
         the reward itself, zeroing the first advantage)."""
         baseline = EMABaseline(0.9)
-        assert baseline.advantage(10.0) == pytest.approx(10.0)
+        assert 10.0 - baseline.update(10.0) == pytest.approx(10.0)
         assert baseline.value == pytest.approx(10.0)
 
     def test_second_episode_advantage_vs_first_reward(self):
         """The second episode subtracts the EMA of previous rewards, which
         after one observation is exactly the first reward."""
         baseline = EMABaseline(0.8)
-        baseline.advantage(10.0)
-        assert baseline.advantage(16.0) == pytest.approx(16.0 - 10.0)
+        baseline.update(10.0)
+        assert 16.0 - baseline.update(16.0) == pytest.approx(16.0 - 10.0)
         # After the second update the EMA has folded the new reward in.
         assert baseline.value == pytest.approx(0.8 * 10.0 + 0.2 * 16.0)
 
@@ -165,10 +153,10 @@ class TestEMABaseline:
     def test_advantage_sign(self):
         baseline = EMABaseline(0.5)
         baseline.update(10.0)
-        assert baseline.advantage(20.0) > 0
+        assert 20.0 - baseline.update(20.0) > 0
         baseline2 = EMABaseline(0.5)
         baseline2.update(10.0)
-        assert baseline2.advantage(1.0) < 0
+        assert 1.0 - baseline2.update(1.0) < 0
 
     def test_invalid_decay(self):
         with pytest.raises(ValueError):
@@ -184,78 +172,34 @@ class TestReinforce:
         target = 3
 
         def prob_of_target():
-            logits = controller.logits(small_spec, 10.0).data
+            logits = controller.logits_batch(small_spec, [10.0]).data[0]
             probs = np.exp(logits - logits.max())
             return probs[target] / probs.sum()
 
         before = prob_of_target()
         for _ in range(30):
-            cut, log_prob = controller.sample(small_spec, 10.0, rng)
+            cut, log_prob, entropy = controller.sample_batch(small_spec, [10.0], rng)[0]
             reward = 100.0 if cut == target else 0.0
-            trainer.update([log_prob], reward)
+            trainer.update_episode([([log_prob], reward, [entropy])])
         assert prob_of_target() > before
 
     def test_empty_log_probs_no_crash(self, registry):
         controller = PartitionController(hidden_size=8, seed=0)
         trainer = ReinforceTrainer(controller)
-        trainer.update([], 10.0)
-        assert trainer.history == [10.0]
+        assert trainer.update_episode([([], 10.0, [])]) == [10.0]
+        assert trainer.baseline.value == 10.0
 
-    def test_update_many(self, small_spec, registry):
-        controller = PartitionController(hidden_size=8, seed=0)
-        trainer = ReinforceTrainer(controller)
-        rng = np.random.default_rng(2)
-        episodes = []
-        for _ in range(3):
-            _, log_prob = controller.sample(small_spec, 10.0, rng)
-            episodes.append(([log_prob], 5.0))
-        trainer.update_many(episodes)
-        assert len(trainer.history) == 3
-
-    def test_update_many_equivalent_to_repeated_update(self, small_spec, registry):
-        """Batch replay must produce the exact parameter trajectory of
-        calling update() once per episode — including the entropy bonus
-        (a 3-tuple episode), which replay used to drop."""
-
-        def run(batched: bool):
-            controller = PartitionController(hidden_size=8, seed=0)
-            trainer = ReinforceTrainer(
-                controller, lr=0.05, reward_scale=0.1, entropy_coeff=0.5
-            )
-            rng = np.random.default_rng(7)
-            episodes = []
-            for reward in (30.0, 10.0, 50.0):
-                _, log_prob = controller.sample(small_spec, 10.0, rng)
-                entropy = controller.last_entropy
-                episodes.append(([log_prob], reward, [entropy]))
-            if batched:
-                trainer.update_many(episodes)
-            else:
-                for log_probs, reward, entropies in episodes:
-                    trainer.update(log_probs, reward, entropies=entropies)
-            return trainer, {
-                name: parameter.data.copy()
-                for name, parameter in controller.named_parameters()
-            }
-
-        trainer_a, params_a = run(batched=True)
-        trainer_b, params_b = run(batched=False)
-        assert trainer_a.history == trainer_b.history == [30.0, 10.0, 50.0]
-        for name in params_a:
-            np.testing.assert_allclose(params_a[name], params_b[name])
-
-    def test_history_stores_raw_rewards_despite_scale(self, small_spec, registry):
-        """reward_scale sizes the gradient step only; history and the EMA
-        baseline both track the raw reward."""
+    def test_baseline_tracks_raw_rewards_despite_scale(self, small_spec, registry):
+        """reward_scale sizes the gradient step only; the EMA baseline
+        tracks the raw reward."""
         controller = PartitionController(hidden_size=8, seed=0)
         trainer = ReinforceTrainer(controller, reward_scale=0.01)
         rng = np.random.default_rng(3)
-        _, log_prob = controller.sample(small_spec, 10.0, rng)
-        advantage = trainer.update([log_prob], 200.0)
-        assert trainer.history == [200.0]
+        _, log_prob, entropy = controller.sample_batch(small_spec, [10.0], rng)[0]
+        advantages = trainer.update_episode([([log_prob], 200.0, [entropy])])
         assert trainer.baseline.value == pytest.approx(200.0)
         # First-episode advantage = reward - 0, then scaled.
-        assert advantage == pytest.approx(200.0 * 0.01)
+        assert advantages == [pytest.approx(200.0 * 0.01)]
 
 
 class TestFairChance:
@@ -290,16 +234,16 @@ class TestFairChance:
 class TestEntropyBonus:
     def test_entropy_exposed_and_positive(self, small_spec, registry, rng):
         controller = PartitionController(hidden_size=8, seed=0)
-        controller.sample(small_spec, 10.0, rng)
-        assert controller.last_entropy is not None
-        assert controller.last_entropy.data > 0
+        _, _, entropy = controller.sample_batch(small_spec, [10.0], rng)[0]
+        assert entropy is not None
+        assert entropy.data > 0
 
     def test_compression_entropies_match_sampled_layers(
         self, small_spec, registry, rng
     ):
         controller = CompressionController(registry, hidden_size=8, seed=0)
-        names, log_probs = controller.sample(small_spec, 10.0, rng)
-        assert len(controller.last_entropies) == len(log_probs)
+        _, log_probs, entropies = controller.sample_batch([small_spec], [10.0], rng)[0]
+        assert len(entropies) == len(log_probs)
 
     def test_entropy_bonus_slows_collapse(self, small_spec, registry):
         """With a strong entropy bonus, rewarding one action keeps the
@@ -313,11 +257,12 @@ class TestEntropyBonus:
             )
             rng = np.random.default_rng(seed)
             for _ in range(25):
-                cut, log_prob = controller.sample(small_spec, 10.0, rng)
-                entropy = controller.last_entropy
+                cut, log_prob, entropy = controller.sample_batch(
+                    small_spec, [10.0], rng
+                )[0]
                 reward = 100.0 if cut == 3 else 0.0
-                trainer.update([log_prob], reward, entropies=[entropy])
-            logits = controller.logits(small_spec, 10.0).data
+                trainer.update_episode([([log_prob], reward, [entropy])])
+            logits = controller.logits_batch(small_spec, [10.0]).data[0]
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             return float(-(probs * np.log(probs + 1e-12)).sum())
@@ -330,27 +275,38 @@ class TestEntropyBonus:
     def test_entropy_only_update_supported(self, small_spec, registry, rng):
         controller = PartitionController(hidden_size=8, seed=0)
         trainer = ReinforceTrainer(controller, entropy_coeff=1.0)
-        controller.sample(small_spec, 10.0, rng)
-        trainer.update([], 10.0, entropies=[controller.last_entropy])
-        assert trainer.history == [10.0]
+        _, _, entropy = controller.sample_batch(small_spec, [10.0], rng)[0]
+        before = [p.data.copy() for p in controller.parameters()]
+        trainer.update_episode([([], 10.0, [entropy])])
+        assert trainer.baseline.value == 10.0
+        assert any(
+            not np.array_equal(p.data, old)
+            for p, old in zip(controller.parameters(), before)
+        )
 
 
 class TestStaleEntropyRegression:
-    def test_forced_path_clears_last_entropy(self, small_spec, rng):
-        """Regression: a forced no-partition draw samples no distribution,
-        so the previous sample's entropy must not survive on the
-        controller — it used to leak into the forced node's update."""
-        controller = PartitionController(hidden_size=8, seed=0)
-        controller.sample(small_spec, 10.0, rng)
-        assert controller.last_entropy is not None
-        controller.sample(small_spec, 10.0, rng, force_no_partition=True)
-        assert controller.last_entropy is None
+    @pytest.fixture
+    def policy(self, registry):
+        return RLPolicy(registry, hidden_size=8, seed=0)
 
-    def test_entropy_returns_after_forced_sample(self, small_spec, rng):
-        controller = PartitionController(hidden_size=8, seed=0)
-        controller.sample(small_spec, 10.0, rng, force_no_partition=True)
-        controller.sample(small_spec, 10.0, rng)
-        assert controller.last_entropy is not None
+    def test_forced_row_carries_no_entropy(self, small_spec, policy, rng):
+        """Regression: a forced no-partition draw samples no distribution,
+        so its token must carry no entropy — an earlier sample's entropy
+        used to leak into the forced node's update."""
+        sampled, forced = policy.sample_partition_batch(
+            small_spec, [10.0, 10.0], rng, [False, True]
+        )
+        assert sampled[1][2] != []
+        assert forced[0] == NO_PARTITION
+        assert forced[1][2] == []
+
+    def test_entropy_returns_after_forced_sample(self, small_spec, policy, rng):
+        forced, sampled = policy.sample_partition_batch(
+            small_spec, [10.0, 10.0], rng, [True, False]
+        )
+        assert forced[1][2] == []
+        assert len(sampled[1][2]) == 1
 
 
 class TestSoleApplicableRegression:
@@ -367,7 +323,7 @@ class TestSoleApplicableRegression:
 
     def test_sample_emits_sole_technique(self, small_spec, no_id_registry, rng):
         controller = CompressionController(no_id_registry, hidden_size=8, seed=0)
-        names, log_probs = controller.sample(small_spec, 10.0, rng)
+        names, log_probs, _ = controller.sample_batch([small_spec], [10.0], rng)[0]
         assert log_probs == []  # one-arm distributions are never sampled
         for i, name in enumerate(names):
             applicable = [
@@ -379,25 +335,17 @@ class TestSoleApplicableRegression:
                 assert name == "ID"  # no-op fallback when nothing applies
         assert "W1" in names  # the spec has conv layers W1 applies to
 
-    def test_greedy_emits_sole_technique(self, small_spec, no_id_registry):
-        controller = CompressionController(no_id_registry, hidden_size=8, seed=0)
-        names = controller.greedy(small_spec, 10.0)
-        assert "W1" in names
-        for i, name in enumerate(names):
-            if name != "ID":
-                assert no_id_registry.get(name).applies_to(small_spec, i)
-
 
 class TestBatchedSampling:
-    """The batched controller paths must be indistinguishable from N
-    sequential calls: same logits, same RNG consumption, same actions."""
+    """A batch of N rows must be indistinguishable from N batches of one:
+    same logits, same RNG consumption, same actions."""
 
     def test_partition_logits_batch_matches_single(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
         bandwidths = [3.0, 10.0, 80.0]
         batched = controller.logits_batch(small_spec, bandwidths).data
         for row, bw in enumerate(bandwidths):
-            single = controller.logits(small_spec, bw).data
+            single = controller.logits_batch(small_spec, [bw]).data[0]
             np.testing.assert_allclose(batched[row], single, rtol=1e-12)
 
     def test_partition_batch_matches_sequential_actions(self, small_spec):
@@ -408,7 +356,9 @@ class TestBatchedSampling:
         )
         rng = np.random.default_rng(11)
         for (cut, log_prob, entropy), bw in zip(batched, bandwidths):
-            expected_cut, expected_lp = controller.sample(small_spec, bw, rng)
+            expected_cut, expected_lp, _ = controller.sample_batch(
+                small_spec, [bw], rng
+            )[0]
             assert cut == expected_cut
             np.testing.assert_allclose(
                 log_prob.data, expected_lp.data, rtol=1e-12
@@ -426,7 +376,7 @@ class TestBatchedSampling:
         # Unforced rows draw the same stream as a run without the forced row.
         rng = np.random.default_rng(5)
         for row in (0, 2):
-            cut, _ = controller.sample(small_spec, bandwidths[row], rng)
+            cut, _, _ = controller.sample_batch(small_spec, [bandwidths[row]], rng)[0]
             assert batched[row][0] == cut
 
     def test_partition_force_flags_length_checked(self, small_spec, rng):
@@ -445,7 +395,9 @@ class TestBatchedSampling:
         for (names, log_probs, entropies), spec, bw in zip(
             batched, specs, bandwidths
         ):
-            expected_names, expected_lps = controller.sample(spec, bw, rng)
+            expected_names, expected_lps, _ = controller.sample_batch(
+                [spec], [bw], rng
+            )[0]
             assert names == expected_names
             assert len(log_probs) == len(expected_lps)
             for got, want in zip(log_probs, expected_lps):
@@ -464,8 +416,7 @@ class TestBatchedEpisodeUpdate:
         rng = np.random.default_rng(seed)
         episodes = []
         for reward in rewards:
-            _, log_prob = controller.sample(spec, 10.0, rng)
-            entropy = controller.last_entropy
+            _, log_prob, entropy = controller.sample_batch(spec, [10.0], rng)[0]
             episodes.append(([log_prob], reward, [entropy]))
         return episodes
 
@@ -473,8 +424,8 @@ class TestBatchedEpisodeUpdate:
         rng = np.random.default_rng(seed)
         episodes = []
         for reward in rewards:
-            _, log_probs = controller.sample(spec, 10.0, rng)
-            episodes.append((log_probs, reward, list(controller.last_entropies)))
+            _, log_probs, entropies = controller.sample_batch([spec], [10.0], rng)[0]
+            episodes.append((log_probs, reward, entropies))
         return episodes
 
     def _grads(self, controller):
@@ -533,36 +484,6 @@ class TestBatchedEpisodeUpdate:
                 batched[name], expected[name], rtol=1e-9, atol=1e-12
             )
 
-    def test_single_episode_update_episode_equals_update(self, small_spec):
-        """A one-episode batch is *exactly* the sequential update — the
-        equivalence the branch search (one update per episode) relies on."""
-
-        def run(batched: bool):
-            controller = PartitionController(hidden_size=8, seed=0)
-            trainer = ReinforceTrainer(
-                controller, lr=0.05, reward_scale=0.1, entropy_coeff=0.5
-            )
-            for reward in (30.0, 10.0, 50.0):
-                episode = self._partition_episodes(
-                    controller, small_spec, int(reward), (reward,)
-                )[0]
-                if batched:
-                    trainer.update_episode([episode])
-                else:
-                    log_probs, r, entropies = episode
-                    trainer.update(log_probs, r, entropies=entropies)
-            return trainer, {
-                name: parameter.data.copy()
-                for name, parameter in controller.named_parameters()
-            }
-
-        trainer_a, params_a = run(batched=True)
-        trainer_b, params_b = run(batched=False)
-        assert trainer_a.history == trainer_b.history
-        assert trainer_a.baseline.value == pytest.approx(trainer_b.baseline.value)
-        for name in params_a:
-            np.testing.assert_allclose(params_a[name], params_b[name])
-
     def test_baseline_folds_rewards_in_arrival_order(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
         trainer = ReinforceTrainer(controller, lr=0.05)
@@ -572,12 +493,10 @@ class TestBatchedEpisodeUpdate:
         reference = EMABaseline(trainer.baseline.decay)
         for reward in rewards:
             reference.update(reward)
-        assert trainer.history == list(rewards)
         assert trainer.baseline.value == pytest.approx(reference.value)
 
     def test_empty_episode_batch_is_noop(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
         trainer = ReinforceTrainer(controller)
         assert trainer.update_episode([]) == []
-        assert trainer.history == []
         assert trainer.baseline.value is None

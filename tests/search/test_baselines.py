@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.search.baselines import (
     dynamic_dnn_surgery,
     exhaustive_branch_search,
     exhaustive_chain_partition,
 )
-from repro.search.policies import EpsilonGreedyPolicy, RandomPolicy
+from repro.search.policies import EpsilonGreedyPolicy, RLPolicy, RandomPolicy
 from tests.conftest import make_context
 
 
@@ -74,9 +76,9 @@ class TestBaselinePolicies:
         rng = np.random.default_rng(0)
         spec = small_context.base
         for _ in range(20):
-            cut, _ = policy.sample_partition(spec, 10.0, rng)
+            [(cut, _)] = policy.sample_partition_batch(spec, [10.0], rng)
             assert cut == -1 or 0 <= cut < len(spec)
-            names, _ = policy.sample_compression(spec, 10.0, rng)
+            [(names, _)] = policy.sample_compression_batch([spec], [10.0], rng)
             for i, name in enumerate(names):
                 if name != "ID":
                     assert small_context.registry.get(name).applies_to(spec, i)
@@ -84,8 +86,8 @@ class TestBaselinePolicies:
     def test_random_policy_force(self, small_context):
         policy = RandomPolicy(small_context.registry)
         rng = np.random.default_rng(0)
-        cut, _ = policy.sample_partition(
-            small_context.base, 10.0, rng, force_no_partition=True
+        [(cut, _)] = policy.sample_partition_batch(
+            small_context.base, [10.0], rng, [True]
         )
         assert cut == -1
 
@@ -100,15 +102,15 @@ class TestBaselinePolicies:
         for action in list(range(len(spec))) + [-1]:
             if action != 4:
                 policy._record(("p", state, action), 0.0)
-        cut, token = policy.sample_partition(spec, 10.0, rng)
+        [(cut, _)] = policy.sample_partition_batch(spec, [10.0], rng)
         assert cut == 4
 
     def test_epsilon_greedy_update_records(self, small_context):
         policy = EpsilonGreedyPolicy(small_context.registry)
         rng = np.random.default_rng(1)
         spec = small_context.base
-        _, token = policy.sample_partition(spec, 10.0, rng)
-        policy.update([token], 123.0)
+        [(_, token)] = policy.sample_partition_batch(spec, [10.0], rng)
+        policy.update_episode([([token], 123.0)])
         key = token[0]
         mean, count = policy._values[key]
         assert count == 1
@@ -118,7 +120,71 @@ class TestBaselinePolicies:
         policy = EpsilonGreedyPolicy(small_context.registry, epsilon=1.0)
         rng = np.random.default_rng(2)
         cuts = {
-            policy.sample_partition(small_context.base, 10.0, rng)[0]
-            for _ in range(50)
+            cut
+            for cut, _ in policy.sample_partition_batch(
+                small_context.base, [10.0] * 50, rng
+            )
         }
         assert len(cuts) > 3
+
+
+_POLICIES = {
+    "rl": lambda registry: RLPolicy(registry, hidden_size=8, seed=0),
+    "random": RandomPolicy,
+    "epsilon_greedy": lambda registry: EpsilonGreedyPolicy(registry, epsilon=0.5),
+}
+
+
+class TestSearchPolicyRngContract:
+    """``SearchPolicy``'s contract: the RNG is consumed in request order, so
+    one batch call of N rows is indistinguishable from N one-row calls."""
+
+    @pytest.mark.parametrize("kind", sorted(_POLICIES))
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(0.5, 200.0), st.booleans(), st.integers(1, 9)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batch_of_n_equals_n_batches_of_one(
+        self, small_context, kind, rows, seed
+    ):
+        policy = _POLICIES[kind](small_context.registry)
+        spec = small_context.base
+        bandwidths = [bandwidth for bandwidth, _, _ in rows]
+        flags = [force for _, force, _ in rows]
+        edges = [spec.slice(0, length) for _, _, length in rows]
+
+        batch_rng = np.random.default_rng(seed)
+        batched = [
+            action
+            for action, _ in policy.sample_partition_batch(
+                spec, bandwidths, batch_rng, flags
+            )
+        ] + [
+            action
+            for action, _ in policy.sample_compression_batch(
+                edges, bandwidths, batch_rng
+            )
+        ]
+
+        row_rng = np.random.default_rng(seed)
+        per_row = [
+            policy.sample_partition_batch(spec, [bandwidth], row_rng, [force])[0][0]
+            for bandwidth, force in zip(bandwidths, flags)
+        ] + [
+            policy.sample_compression_batch([edge], [bandwidth], row_rng)[0][0]
+            for edge, bandwidth in zip(edges, bandwidths)
+        ]
+
+        assert batched == per_row
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state

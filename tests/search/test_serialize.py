@@ -136,6 +136,6 @@ class TestPolicyCheckpoints:
         save_policy(policy, path)
         clone = load_policy(RLPolicy(context.registry, seed=77), path)
         spec = context.base
-        logits_a = policy.partition_controller.logits(spec, 10.0).data
-        logits_b = clone.partition_controller.logits(spec, 10.0).data
+        logits_a = policy.partition_controller.logits_batch(spec, [10.0]).data
+        logits_b = clone.partition_controller.logits_batch(spec, [10.0]).data
         np.testing.assert_allclose(logits_a, logits_b)

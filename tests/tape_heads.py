@@ -16,7 +16,6 @@ from repro.nn import functional as F
 from repro.nn.tensor import Tensor
 from repro.rl.controller import NO_PARTITION
 from repro.rl.encoding import encode_model
-from repro.rl.reinforce import _unpack_episode
 
 
 def _sample_from_logits(
@@ -122,8 +121,7 @@ def episode_loss(
 ) -> Tuple[Optional[Tensor], List[float]]:
     loss: Optional[Tensor] = None
     advantages: List[float] = []
-    for episode in episodes:
-        log_probs, reward, entropies = _unpack_episode(episode)
+    for log_probs, reward, entropies in episodes:
         advantage = (reward - baseline_value) * self.reward_scale
         advantages.append(advantage)
         for log_prob in log_probs:
