@@ -40,9 +40,7 @@ def test_bench_pool_parallel_speedup(benchmark):
     serial_s = time.perf_counter() - start
     assert serial == expected
 
-    pool_config = PoolConfig(
-        num_workers=2, task_timeout_s=30.0, poll_interval_s=0.005
-    )
+    pool_config = PoolConfig(num_workers=2, task_timeout_s=30.0)
 
     def parallel_run():
         outcome = FaultTolerantPool(pool_config).run(_blocking_task, _tasks())

@@ -111,6 +111,22 @@ def main(argv=None) -> int:
         help="chaos: crash the worker on this task's first attempt (repeatable)",
     )
     args = parser.parse_args(argv)
+    pool_flags = {
+        "--journal": args.journal,
+        "--pool-report": args.pool_report,
+        "--trace-dir": args.trace_dir,
+        "--inject-crash": args.inject_crash,
+    }
+    for flag, value in pool_flags.items():
+        if not value:
+            continue
+        if args.experiment not in POOL_AWARE | {"all"}:
+            parser.error(
+                f"{flag} only applies to {', '.join(sorted(POOL_AWARE))}"
+            )
+        # ``parallel`` always runs its pool with at least 2 workers.
+        if args.experiment != "parallel" and args.workers < 2:
+            parser.error(f"{flag} needs --workers 2 or more")
 
     config = ExperimentConfig(
         tree_episodes=args.tree_episodes,

@@ -244,20 +244,12 @@ def run_chaos_fleet(
     be layered on top, in which case retried scenes still reproduce the
     exact per-scene numbers — everything is seeded from ``config.seed``.
     """
-    keys = list(scenario_keys or DEFAULT_FLEET_KEYS)
-    scenarios = [get_scenario(*key) for key in keys]
-    options = pool_options or PoolOptions()
-    if not options.parallel:
-        return [run_chaos(config, scenario) for scenario in scenarios]
+    scenarios = [get_scenario(*key) for key in scenario_keys or DEFAULT_FLEET_KEYS]
     tasks = [
         PoolTask(scenario_task_id(s), kwargs={"config": config, "scenario": s})
         for s in scenarios
     ]
-    outcome = options.pool().run(run_chaos, tasks, journal_path=options.journal)
-    options.last_report = outcome.report
-    if options.report_path:
-        outcome.report.dump(options.report_path)
-    return outcome.require_complete()
+    return (pool_options or PoolOptions()).map(run_chaos, tasks)
 
 
 def main(

@@ -9,7 +9,7 @@ harnesses. Results carry everything the corresponding paper table reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -311,24 +311,30 @@ class PoolOptions:
     journal: Optional[str] = None
     report_path: Optional[str] = None
     chaos: Optional[PoolChaos] = None
-    task_timeout_s: float = 600.0
-    max_retries: int = 2
     trace_dir: Optional[str] = None
 
     @property
     def parallel(self) -> bool:
         return self.workers > 1
 
-    def pool(self) -> FaultTolerantPool:
-        return FaultTolerantPool(
-            PoolConfig(
-                num_workers=self.workers,
-                task_timeout_s=self.task_timeout_s,
-                max_retries=self.max_retries,
-                trace_dir=self.trace_dir,
-            ),
+    def map(self, fn: Callable[..., Any], tasks: Sequence[PoolTask]) -> List[Any]:
+        """``fn`` over ``tasks``, results in task order.
+
+        Serial runs call ``fn`` in-process. Parallel runs go through the
+        pool, keep its report in :attr:`last_report` (and write it to
+        ``report_path``), and raise if any task was quarantined.
+        """
+        if not self.parallel:
+            return [fn(*task.args, **task.kwargs) for task in tasks]
+        pool = FaultTolerantPool(
+            PoolConfig(num_workers=self.workers, trace_dir=self.trace_dir),
             chaos=self.chaos,
         )
+        outcome = pool.run(fn, tasks, journal_path=self.journal)
+        self.last_report = outcome.report
+        if self.report_path:
+            outcome.report.dump(self.report_path)
+        return outcome.require_complete()
 
     #: Pool report of the most recent fan-out (for tests/telemetry).
     last_report: Optional[PoolReport] = None
@@ -348,12 +354,6 @@ def run_scenarios(
     cannot change the numbers — a chaos-injected parallel sweep must
     produce results identical to the serial run.
     """
-    options = pool_options or PoolOptions()
-    if not options.parallel:
-        return [
-            run_scenario(s, config, run_field=run_field, run_emu=run_emu)
-            for s in scenarios
-        ]
     tasks = [
         PoolTask(
             scenario_task_id(s),
@@ -362,13 +362,7 @@ def run_scenarios(
         )
         for s in scenarios
     ]
-    outcome = options.pool().run(
-        run_scenario, tasks, journal_path=options.journal
-    )
-    options.last_report = outcome.report
-    if options.report_path:
-        outcome.report.dump(options.report_path)
-    return outcome.require_complete()
+    return (pool_options or PoolOptions()).map(run_scenario, tasks)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ on the paper's 14 evaluation scenes:
    from disk, retry the crashed scene, and finish the rest;
 4. assert the resumed+chaos-injected parallel rewards are *exactly*
    (bit-for-bit) the serial ones, and that the pool report shows the
-   resume and the recovery actually happened.
+   resume and the recovery actually happened in worker processes (a
+   pool that degraded to in-process attempts fails the check).
 
 A mismatch raises — CI runs this via ``make sweep-parallel``.
 """
@@ -100,7 +101,9 @@ def run_parallel_check(
             config,
             run_field=False,
             run_emu=False,
-            pool_options=PoolOptions(workers=workers, journal=journal),
+            pool_options=PoolOptions(
+                workers=workers, journal=journal, trace_dir=options.trace_dir
+            ),
         )
 
     # Phase 2 — resume the full sweep from the journal, with a worker
@@ -115,6 +118,7 @@ def run_parallel_check(
         journal=journal,
         report_path=options.report_path,
         chaos=chaos,
+        trace_dir=options.trace_dir,
     )
     parallel = run_scenarios(
         scenarios,
@@ -137,6 +141,13 @@ def run_parallel_check(
         mismatches.append(
             f"expected {len(phase1)} scenes resumed from the journal, "
             f"pool report says {pool_report.resumed}"
+        )
+    # A degraded run finished its attempts in-process, so it proves
+    # nothing about recovery across worker processes.
+    if pool_report.degraded_to_serial:
+        mismatches.append(
+            "no worker process could be started: the pool degraded to "
+            "in-process attempts, so no real crash was recovered"
         )
     if pool_report.crashes < 1:
         mismatches.append("injected WorkerCrash never fired")

@@ -113,19 +113,12 @@ def run_sweep(
     """
     config = config or ExperimentConfig()
     scenario = get_scenario(*scenario_key)
-    grid = [(n, k) for n in blocks for k in types]
-    options = pool_options or PoolOptions()
-    if not options.parallel:
-        return [sweep_cell(scenario, n, k, config) for n, k in grid]
     tasks = [
         PoolTask(sweep_task_id(n, k), args=(scenario, n, k, config))
-        for n, k in grid
+        for n in blocks
+        for k in types
     ]
-    outcome = options.pool().run(sweep_cell, tasks, journal_path=options.journal)
-    options.last_report = outcome.report
-    if options.report_path:
-        outcome.report.dump(options.report_path)
-    return outcome.require_complete()
+    return (pool_options or PoolOptions()).map(sweep_cell, tasks)
 
 
 def render_sweep(rows: List[SweepRow]) -> str:

@@ -220,9 +220,10 @@ class FaultSchedule:
 # ---------------------------------------------------------------------------
 # Pool-level chaos — process faults, keyed on (task, attempt), not the
 # emulation clock. The :class:`~repro.runtime.pool.FaultTolerantPool`
-# injects these inside its workers so the recovery machinery (timeout
-# kill, retry with re-derived seed, quarantine) is exercised
+# injects these inside its worker processes so the recovery machinery
+# (crash detection, timeout kill, retry, quarantine) is exercised
 # deterministically: the same schedule always hits the same attempts.
+# Attempts the pool runs in-process, having no worker, see no chaos.
 # ---------------------------------------------------------------------------
 
 
@@ -261,11 +262,6 @@ class WorkerHang(PoolFaultEvent):
         super().__post_init__()
         if self.hang_s <= 0:
             raise ValueError(f"hang_s must be positive, got {self.hang_s}")
-
-
-@dataclass(frozen=True)
-class ResultLoss(PoolFaultEvent):
-    """The task completes but its result never reaches the parent."""
 
 
 @dataclass(frozen=True)

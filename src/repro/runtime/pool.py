@@ -10,28 +10,27 @@ robust *by construction* rather than parallel-then-hardened:
 - **crash tolerance** — a worker that dies mid-task (OOM kill, segfault,
   injected :class:`~repro.runtime.faults.WorkerCrash`) is detected via
   its exit code and replaced, and its task is retried;
-- **deterministic retry** — retries back off exponentially and re-derive
-  the *same* per-task seed (:func:`~repro.runtime.workers
-  .spawn_worker_seeds` over the task index), so a retried task produces
-  bit-identical results no matter which worker reruns it;
+- **deterministic retry** — retries back off exponentially and rerun the
+  task with the same arguments, so a task seeded from its arguments
+  produces bit-identical results no matter which worker reruns it;
 - **poison-task quarantine** — a task that fails ``max_retries + 1``
   attempts is recorded and skipped, not allowed to wedge the sweep;
-- **serial degradation** — if worker startup itself fails (fork limits,
-  sandboxed container), the pool falls back to in-process serial
-  execution and says so in its report;
+- **serial degradation** — if no worker is alive and none can be started
+  (fork limits, sandboxed container), the same supervisor loop runs the
+  remaining attempts in-process and says so in its report;
 - **crash-safe journal** — completed results stream through a
   flush-per-record :class:`~repro.obs.sink.JsonlSink`; a killed sweep
   restarted with the same journal replays completed cells from disk and
   dispatches only the remainder;
-- **telemetry merge** — each worker ships its
-  :class:`~repro.perf.PerfRegistry` snapshot back with every result and
-  the parent folds them into one report.
+- **telemetry merge** — every attempt runs in a fresh
+  :class:`~repro.perf.PerfRegistry` scope and ships its snapshot back
+  with its result; the parent folds them into one report.
 
 The unit of work is a :class:`PoolTask` wrapping a picklable function
 marked :func:`~repro.runtime.workers.worker_safe` — flowcheck's
 ``SHARED-MUTABLE``/``WORKER-RNG``/``SINK-FLUSH`` rules statically verify
 everything reachable from those roots, which is what makes this fan-out
-safe to run under ``fork`` and ``spawn`` alike.
+safe to run in forked workers.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import os
 import pickle
 import queue
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -51,8 +49,19 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..contracts import require_non_negative, require_positive
 from ..obs.sink import JsonlSink, recover_jsonl_records
 from ..obs.window import merge_window_sections
-from .faults import PoolChaos, ResultLoss, WorkerCrash, WorkerHang
-from .workers import is_worker_safe, spawn_worker_seeds
+from .faults import PoolChaos, WorkerCrash, WorkerHang
+from .workers import is_worker_safe
+
+#: Workers are forked: cheap on POSIX, and the tasks are ``@worker_safe``.
+_START_METHOD = "fork"
+#: Retry backoff: the attempt after a task's n-th failure waits
+#: ``_BACKOFF_BASE_S * _BACKOFF_FACTOR ** (n - 1)`` seconds.
+_BACKOFF_BASE_S = 0.05
+_BACKOFF_FACTOR = 2.0
+#: How long one supervisor turn blocks on the result queue.
+_POLL_INTERVAL_S = 0.02
+#: Task states that end a task's lifecycle.
+_RESOLVED = ("ok", "quarantined")
 
 
 @dataclass(frozen=True)
@@ -75,18 +84,10 @@ class PoolConfig:
     num_workers: int = 2
     #: Hang detection: a task attempt exceeding this wall budget gets its
     #: worker killed and the attempt counted as a failure.
-    task_timeout_s: float = 120.0
+    task_timeout_s: float = 600.0
     #: Retries per task beyond the first attempt; exhausting them
     #: quarantines the task (recorded, not fatal).
     max_retries: int = 2
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    #: multiprocessing start method; ``fork`` is the cheap default on
-    #: POSIX, ``spawn`` works everywhere.
-    start_method: str = "fork"
-    poll_interval_s: float = 0.02
-    #: Degrade to in-process serial execution when workers cannot start.
-    serial_fallback: bool = True
     #: When set, every task attempt streams its own observability trace
     #: to ``<trace_dir>/<task_id>.jsonl`` (flush-per-record, so a crashed
     #: attempt still leaves its completed records). A retry overwrites
@@ -98,15 +99,6 @@ class PoolConfig:
         require_positive(self.num_workers, "num_workers")
         require_positive(self.task_timeout_s, "task_timeout_s")
         require_non_negative(self.max_retries, "max_retries")
-        require_non_negative(self.backoff_base_s, "backoff_base_s")
-        require_positive(self.backoff_factor, "backoff_factor")
-        require_positive(self.poll_interval_s, "poll_interval_s")
-
-    def backoff_s(self, failures: int) -> float:
-        """Delay before the attempt following the ``failures``-th failure."""
-        if failures <= 0:
-            return 0.0
-        return self.backoff_base_s * self.backoff_factor ** (failures - 1)
 
 
 @dataclass
@@ -181,14 +173,8 @@ class PoolOutcome:
     report: PoolReport
     task_order: List[str] = field(default_factory=list)
 
-    @property
-    def values(self) -> List[Any]:
-        """Results aligned with the submitted task order; quarantined
-        tasks yield ``None``."""
-        return [self.results.get(task_id) for task_id in self.task_order]
-
     def require_complete(self) -> List[Any]:
-        """The values, raising if any task was quarantined."""
+        """Results in task order, raising if any task was quarantined."""
         missing = [t for t in self.task_order if t not in self.results]
         if missing:
             raise RuntimeError(
@@ -330,7 +316,7 @@ class ResultJournal:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Attempts
 # ---------------------------------------------------------------------------
 def _task_trace_path(trace_dir: str, task_id: str) -> Path:
     """Per-task trace file; task ids are sanitized into safe filenames."""
@@ -340,22 +326,44 @@ def _task_trace_path(trace_dir: str, task_id: str) -> Path:
     return Path(trace_dir) / f"{safe or 'task'}.jsonl"
 
 
-def _call_traced(
+def _run_attempt(
+    worker_id: int,
+    task_id: str,
+    attempt: int,
     fn: Callable[..., Any],
     args: Tuple[Any, ...],
     kwargs: Mapping[str, Any],
     trace_dir: Optional[str],
-    task_id: str,
-) -> Any:
-    """Run one attempt, streaming its trace when a trace_dir is set."""
-    if trace_dir is None:
-        return fn(*args, **kwargs)
-    from ..obs.trace import recording
+) -> Tuple[Any, ...]:
+    """Run one attempt and return the message the supervisor handles.
 
-    path = _task_trace_path(trace_dir, task_id)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with recording(path, stream=True):
-        return fn(*args, **kwargs)
+    ``("ok", worker_id, task_id, attempt, value, snapshot, elapsed_s)`` or
+    ``("err", worker_id, task_id, attempt, error, elapsed_s)``. The
+    attempt runs in a fresh registry scope, so its snapshot holds this
+    task's metrics only — not the counters a forked worker inherited or
+    accumulated on earlier tasks. With ``trace_dir`` set, the attempt
+    streams its own trace (see :attr:`PoolConfig.trace_dir`).
+    """
+    from ..perf import get_registry
+
+    start = time.perf_counter()
+    try:
+        with get_registry().scoped() as registry:
+            if trace_dir is None:
+                value = fn(*args, **kwargs)
+            else:
+                from ..obs.trace import recording
+
+                path = _task_trace_path(trace_dir, task_id)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with recording(path, stream=True):
+                    value = fn(*args, **kwargs)
+            snapshot = registry.snapshot()
+    except Exception as exc:  # noqa: BLE001 - retried/quarantined
+        error = f"{type(exc).__name__}: {exc}"
+        return ("err", worker_id, task_id, attempt, error, time.perf_counter() - start)
+    elapsed_s = time.perf_counter() - start
+    return ("ok", worker_id, task_id, attempt, value, snapshot, elapsed_s)
 
 
 def _worker_main(
@@ -368,12 +376,9 @@ def _worker_main(
     """Worker loop: take (task, attempt) messages until the None sentinel.
 
     Chaos events fire *inside* the worker so the parent's recovery path
-    is exercised for real: a :class:`WorkerCrash` hard-exits the process,
-    a :class:`WorkerHang` stalls (until the parent's timeout kill), a
-    :class:`ResultLoss` computes and then drops the result.
+    is exercised for real: a :class:`WorkerCrash` hard-exits the process
+    and a :class:`WorkerHang` stalls until the parent's timeout kill.
     """
-    from ..perf import get_registry
-
     while True:
         message = inbox.get()
         if message is None:
@@ -384,34 +389,8 @@ def _worker_main(
             os._exit(event.exit_code)
         if isinstance(event, WorkerHang):
             time.sleep(event.hang_s)
-        start = time.perf_counter()
-        try:
-            value = _call_traced(fn, args, kwargs, trace_dir, task_id)
-        except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-            results.put(
-                (
-                    "err",
-                    worker_id,
-                    task_id,
-                    attempt,
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                    time.perf_counter() - start,
-                )
-            )
-            continue
-        if isinstance(event, ResultLoss):
-            continue  # computed, never delivered: parent must recover
         results.put(
-            (
-                "ok",
-                worker_id,
-                task_id,
-                attempt,
-                value,
-                get_registry().snapshot(),
-                time.perf_counter() - start,
-            )
+            _run_attempt(worker_id, task_id, attempt, fn, args, kwargs, trace_dir)
         )
 
 
@@ -421,8 +400,11 @@ class _WorkerHandle:
     process: Any
     inbox: Any
     current: Optional[str] = None
-    current_attempt: int = -1
     deadline: float = 0.0
+
+
+#: Worker id carried by the messages of attempts run in the parent.
+_IN_PROCESS = -1
 
 
 class FaultTolerantPool:
@@ -436,7 +418,10 @@ class FaultTolerantPool:
 
     ``run`` validates that ``fn`` is marked ``@worker_safe`` (the static
     contract flowcheck verifies), dispatches one task per idle worker,
-    and drives the recovery loop described in the module docstring.
+    and drives the recovery loop described in the module docstring. The
+    state of the run in progress (records, results, report, journal,
+    retry queue, backoff gates, telemetry) lives on the pool, so a pool
+    runs one ``run`` at a time.
     """
 
     def __init__(
@@ -446,7 +431,7 @@ class FaultTolerantPool:
     ) -> None:
         self.config = config or PoolConfig()
         self.chaos = chaos
-        self._context = multiprocessing.get_context(self.config.start_method)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._next_worker_id = 0
 
     # -- public API -------------------------------------------------------
@@ -455,64 +440,49 @@ class FaultTolerantPool:
         fn: Callable[..., Any],
         tasks: Sequence[PoolTask],
         journal_path: Optional[Any] = None,
-        base_seed: Optional[int] = None,
-        seed_kwarg: str = "seed",
-        require_worker_safe: bool = True,
     ) -> PoolOutcome:
-        """Execute every task, surviving crashes/hangs/lost results.
-
-        ``base_seed`` derives one independent seed per *task index* via
-        :func:`spawn_worker_seeds` and injects it as ``seed_kwarg``; a
-        retry re-derives the same seed from the same index, so results
-        are independent of which worker (or attempt) produced them.
-        """
-        if require_worker_safe and not is_worker_safe(fn):
+        """Execute every task, surviving worker crashes and hangs."""
+        if not is_worker_safe(fn):
             raise ValueError(
                 f"{getattr(fn, '__name__', fn)!r} is not marked "
                 "@worker_safe; decorate it (and let flowcheck verify its "
-                "call graph) or pass require_worker_safe=False"
+                "call graph)"
             )
         ids = [task.task_id for task in tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("task_ids must be unique within a run")
 
-        if base_seed is not None and tasks:
-            seeds = spawn_worker_seeds(base_seed, len(tasks))
-            tasks = [
-                PoolTask(
-                    task.task_id,
-                    task.args,
-                    {**dict(task.kwargs), seed_kwarg: seeds[index]},
-                )
-                for index, task in enumerate(tasks)
-            ]
-
-        report = PoolReport(num_workers=self.config.num_workers)
-        records = {
+        self._report = report = PoolReport(num_workers=self.config.num_workers)
+        self._records = records = {
             task.task_id: TaskRecord(task_id=task.task_id, index=index)
             for index, task in enumerate(tasks)
         }
-        report.tasks = [records[task.task_id] for task in tasks]
-        results: Dict[str, Any] = {}
+        report.tasks = list(records.values())
+        self._results: Dict[str, Any] = {}
+        self._telemetry: List[Mapping[str, Any]] = []
         started = time.perf_counter()
 
-        journal = ResultJournal(journal_path) if journal_path else None
+        self._journal = ResultJournal(journal_path) if journal_path else None
         try:
-            if journal is not None:
-                for task_id, record in journal.completed_ok().items():
+            if self._journal is not None:
+                for task_id, record in self._journal.completed_ok().items():
                     if task_id in records:
-                        results[task_id] = ResultJournal.decode(record)
+                        self._results[task_id] = ResultJournal.decode(record)
                         records[task_id].status = "ok"
                         records[task_id].resumed = True
                         records[task_id].attempts = record.get("attempts", 0)
                         report.resumed += 1
 
-            remaining = [t for t in tasks if records[t.task_id].status != "ok"]
-            if remaining:
-                self._execute(fn, remaining, records, results, report, journal)
+            # The retry queue; eligible_at gates backoff, and tasks
+            # enter ready immediately.
+            self._pending = [t for t in ids if records[t].status != "ok"]
+            self._eligible_at = dict.fromkeys(self._pending, 0.0)
+            if self._pending:
+                self._execute(fn, {task.task_id: task for task in tasks})
+                report.telemetry = merge_perf_snapshots(self._telemetry)
         finally:
-            if journal is not None:
-                journal.close()
+            if self._journal is not None:
+                self._journal.close()
 
         report.quarantined = [
             record.task_id
@@ -520,101 +490,68 @@ class FaultTolerantPool:
             if record.status == "quarantined"
         ]
         report.elapsed_s = time.perf_counter() - started
-        return PoolOutcome(
-            results=results,
-            report=report,
-            task_order=[task.task_id for task in tasks],
-        )
+        return PoolOutcome(results=self._results, report=report, task_order=ids)
 
-    # -- parallel execution ----------------------------------------------
-    def _execute(self, fn, tasks, records, results, report, journal) -> None:
-        telemetry: List[Mapping[str, Any]] = []
+    # -- the supervisor loop ---------------------------------------------
+    def _execute(self, fn, by_id: Mapping[str, PoolTask]) -> None:
         workers: List[_WorkerHandle] = []
-        result_queue = self._context.Queue()
+        result_queue = None
         try:
-            target = min(self.config.num_workers, len(tasks))
-            for _ in range(target):
+            result_queue = self._context.Queue()
+            for _ in range(min(self.config.num_workers, len(self._pending))):
                 workers.append(self._spawn_worker(result_queue))
         except OSError:
-            for worker in workers:
-                self._kill_worker(worker)
-            result_queue.close()
-            result_queue.cancel_join_thread()
-            if not self.config.serial_fallback:
-                raise
-            report.degraded_to_serial = True
-            self._execute_serial(
-                fn, tasks, records, results, report, journal, telemetry
-            )
-            report.telemetry = merge_perf_snapshots(telemetry)
-            return
-
-        # eligible_at gates backoff; tasks enter ready immediately.
-        eligible_at: Dict[str, float] = {
-            task.task_id: 0.0 for task in tasks
-        }
-        by_id = {task.task_id: task for task in tasks}
-        pending = [task.task_id for task in tasks]
-
-        def unresolved() -> bool:
-            return any(
-                records[t.task_id].status not in ("ok", "quarantined")
-                for t in tasks
-            )
+            pass  # fork limits or no SemLock: start with what did spawn
 
         try:
-            while unresolved():
+            while self._unresolved():
                 now = time.monotonic()
+                if not workers:
+                    # No worker is alive and none could be started: run
+                    # the next ready attempt here. Chaos does not fire —
+                    # there is no worker process to crash or hang.
+                    self._report.degraded_to_serial = True
+                    ready = self._next_ready(now)
+                    if ready is None:
+                        time.sleep(_POLL_INTERVAL_S)  # waiting out backoff
+                        continue
+                    task = by_id[ready]
+                    self._handle_message(
+                        _run_attempt(
+                            _IN_PROCESS,
+                            ready,
+                            self._start_attempt(ready),
+                            fn,
+                            task.args,
+                            dict(task.kwargs),
+                            self.config.trace_dir,
+                        ),
+                        workers,
+                    )
+                    continue
+
                 # 1. dispatch ready tasks onto idle live workers
                 for worker in workers:
                     if worker.current is not None:
                         continue
-                    ready = next(
-                        (
-                            task_id
-                            for task_id in pending
-                            if eligible_at[task_id] <= now
-                        ),
-                        None,
-                    )
+                    ready = self._next_ready(now)
                     if ready is None:
                         break
-                    pending.remove(ready)
-                    record = records[ready]
                     task = by_id[ready]
                     worker.current = ready
-                    worker.current_attempt = record.attempts
                     worker.deadline = now + self.config.task_timeout_s
-                    record.attempts += 1
+                    attempt = self._start_attempt(ready)
                     worker.inbox.put(
-                        (
-                            ready,
-                            record.attempts - 1,
-                            fn,
-                            task.args,
-                            dict(task.kwargs),
-                        )
+                        (ready, attempt, fn, task.args, dict(task.kwargs))
                     )
 
                 # 2. drain results
                 try:
-                    message = result_queue.get(
-                        timeout=self.config.poll_interval_s
-                    )
+                    message = result_queue.get(timeout=_POLL_INTERVAL_S)
                 except queue.Empty:
                     message = None
                 while message is not None:
-                    self._handle_message(
-                        message,
-                        workers,
-                        records,
-                        results,
-                        report,
-                        journal,
-                        telemetry,
-                        pending,
-                        eligible_at,
-                    )
+                    self._handle_message(message, workers)
                     try:
                         message = result_queue.get_nowait()
                     except queue.Empty:
@@ -622,239 +559,97 @@ class FaultTolerantPool:
 
                 # 3. reap dead / hung workers
                 now = time.monotonic()
-                for index, worker in enumerate(list(workers)):
+                for worker in list(workers):
                     if not worker.process.is_alive():
-                        reason = (
-                            f"crash(exit={worker.process.exitcode})"
-                        )
-                        report.crashes += 1
-                        self._fail_current(
-                            worker,
-                            reason,
-                            records,
-                            report,
-                            journal,
-                            pending,
-                            eligible_at,
-                        )
-                    elif (
-                        worker.current is not None and now > worker.deadline
-                    ):
-                        report.hangs += 1
-                        self._fail_current(
-                            worker,
-                            "hang",
-                            records,
-                            report,
-                            journal,
-                            pending,
-                            eligible_at,
-                        )
+                        self._report.crashes += 1
+                        reason = f"crash(exit={worker.process.exitcode})"
+                    elif worker.current is not None and now > worker.deadline:
+                        self._report.hangs += 1
+                        reason = "hang"
                     else:
                         continue
+                    self._fail_current(worker, reason)
                     self._kill_worker(worker)
                     workers.remove(worker)
-                    if unresolved():
+                    if self._unresolved():
                         try:
                             workers.append(self._spawn_worker(result_queue))
-                            report.workers_replaced += 1
+                            self._report.workers_replaced += 1
                         except OSError:
                             pass  # keep going with the survivors
-                if not workers and unresolved():
-                    # Every worker is gone and none could be replaced:
-                    # finish what's left serially rather than spinning.
-                    report.degraded_to_serial = True
-                    leftovers = [
-                        by_id[t]
-                        for t in [task.task_id for task in tasks]
-                        if records[t].status not in ("ok", "quarantined")
-                    ]
-                    self._execute_serial(
-                        fn,
-                        leftovers,
-                        records,
-                        results,
-                        report,
-                        journal,
-                        telemetry,
-                    )
         finally:
             for worker in workers:
                 self._stop_worker(worker)
-            result_queue.close()
-            result_queue.cancel_join_thread()
-        report.telemetry = merge_perf_snapshots(telemetry)
+            if result_queue is not None:
+                result_queue.close()
+                result_queue.cancel_join_thread()
 
-    def _handle_message(
-        self,
-        message,
-        workers,
-        records,
-        results,
-        report,
-        journal,
-        telemetry,
-        pending,
-        eligible_at,
-    ) -> None:
-        kind = message[0]
-        worker_id, task_id = message[1], message[2]
-        record = records.get(task_id)
-        worker = next(
-            (w for w in workers if w.worker_id == worker_id), None
-        )
+    def _unresolved(self) -> bool:
+        return any(r.status not in _RESOLVED for r in self._records.values())
+
+    def _next_ready(self, now: float) -> Optional[str]:
+        """Pop the first queued task whose backoff has elapsed."""
+        for task_id in self._pending:
+            if self._eligible_at[task_id] <= now:
+                self._pending.remove(task_id)
+                return task_id
+        return None
+
+    def _start_attempt(self, task_id: str) -> int:
+        """Count a new attempt of ``task_id``; return its 0-based number."""
+        record = self._records[task_id]
+        record.attempts += 1
+        return record.attempts - 1
+
+    def _handle_message(self, message, workers: List[_WorkerHandle]) -> None:
+        kind, worker_id, task_id = message[0], message[1], message[2]
+        record = self._records.get(task_id)
+        worker = next((w for w in workers if w.worker_id == worker_id), None)
         if worker is not None and worker.current == task_id:
             worker.current = None
-            worker.current_attempt = -1
-        if record is None or record.status in ("ok", "quarantined"):
+        if record is None or record.status in _RESOLVED:
             return  # stale: task already resolved by another attempt
         if kind == "ok":
             _, _, _, _, value, snapshot, elapsed_s = message
             record.status = "ok"
             record.elapsed_s += elapsed_s
-            results[task_id] = value
-            telemetry.append(snapshot)
+            self._results[task_id] = value
+            self._telemetry.append(snapshot)
             # A result can land from a worker we already gave up on
             # (kill raced completion); the task may sit re-queued.
-            if task_id in pending:
-                pending.remove(task_id)
-            if journal is not None:
-                journal.record_ok(task_id, value, record.attempts, elapsed_s)
+            if task_id in self._pending:
+                self._pending.remove(task_id)
+            if self._journal is not None:
+                self._journal.record_ok(
+                    task_id, value, record.attempts, elapsed_s
+                )
         else:
-            _, _, _, _, error, _tb, elapsed_s = message
+            _, _, _, _, error, elapsed_s = message
             record.elapsed_s += elapsed_s
-            report.task_errors += 1
-            self._register_failure(
-                record,
-                f"error: {error}",
-                records,
-                report,
-                journal,
-                pending,
-                eligible_at,
-            )
+            self._report.task_errors += 1
+            self._register_failure(record, f"error: {error}")
 
-    def _fail_current(
-        self,
-        worker,
-        reason,
-        records,
-        report,
-        journal,
-        pending,
-        eligible_at,
-    ) -> None:
-        if worker.current is None:
+    def _fail_current(self, worker: _WorkerHandle, reason: str) -> None:
+        task_id, worker.current = worker.current, None
+        if task_id is None:
             return
-        task_id = worker.current
-        worker.current = None
-        worker.current_attempt = -1
-        record = records[task_id]
-        if record.status in ("ok", "quarantined"):
-            return
-        self._register_failure(
-            record, reason, records, report, journal, pending, eligible_at
-        )
+        record = self._records[task_id]
+        if record.status not in _RESOLVED:
+            self._register_failure(record, reason)
 
-    def _register_failure(
-        self, record, reason, records, report, journal, pending, eligible_at
-    ) -> None:
+    def _register_failure(self, record: TaskRecord, reason: str) -> None:
         record.failures.append(reason)
         if record.attempts > self.config.max_retries:
             record.status = "quarantined"
-            if journal is not None:
-                journal.record_quarantined(
+            if self._journal is not None:
+                self._journal.record_quarantined(
                     record.task_id, record.attempts, record.failures
                 )
             return
-        report.retries += 1
-        eligible_at[record.task_id] = time.monotonic() + self.config.backoff_s(
-            len(record.failures)
-        )
-        pending.append(record.task_id)
-
-    # -- serial degradation ----------------------------------------------
-    def _execute_serial(
-        self, fn, tasks, records, results, report, journal, telemetry
-    ) -> None:
-        """In-process fallback with the same retry/quarantine semantics.
-
-        Chaos events still fire — simulated as failures (crash/hang) or
-        dropped results — so a degraded run exercises the same recovery
-        bookkeeping the parallel path does.
-        """
-        from ..perf import get_registry
-
-        for task in tasks:
-            record = records[task.task_id]
-            while record.status not in ("ok", "quarantined"):
-                attempt = record.attempts
-                record.attempts += 1
-                event = (
-                    self.chaos.event_for(task.task_id, attempt)
-                    if self.chaos
-                    else None
-                )
-                if isinstance(event, WorkerCrash):
-                    report.crashes += 1
-                    self._register_failure_serial(
-                        record,
-                        f"crash(exit={event.exit_code}, simulated)",
-                        report,
-                        journal,
-                    )
-                    continue
-                if isinstance(event, WorkerHang):
-                    report.hangs += 1
-                    self._register_failure_serial(
-                        record, "hang(simulated)", report, journal
-                    )
-                    continue
-                start = time.perf_counter()
-                try:
-                    value = _call_traced(
-                        fn,
-                        task.args,
-                        dict(task.kwargs),
-                        self.config.trace_dir,
-                        task.task_id,
-                    )
-                except Exception as exc:  # noqa: BLE001 - retried/quarantined
-                    record.elapsed_s += time.perf_counter() - start
-                    report.task_errors += 1
-                    self._register_failure_serial(
-                        record,
-                        f"error: {type(exc).__name__}: {exc}",
-                        report,
-                        journal,
-                    )
-                    continue
-                elapsed_s = time.perf_counter() - start
-                record.elapsed_s += elapsed_s
-                if isinstance(event, ResultLoss):
-                    self._register_failure_serial(
-                        record, "result-loss(simulated)", report, journal
-                    )
-                    continue
-                record.status = "ok"
-                results[task.task_id] = value
-                telemetry.append(get_registry().snapshot())
-                if journal is not None:
-                    journal.record_ok(
-                        task.task_id, value, record.attempts, elapsed_s
-                    )
-
-    def _register_failure_serial(self, record, reason, report, journal) -> None:
-        record.failures.append(reason)
-        if record.attempts > self.config.max_retries:
-            record.status = "quarantined"
-            if journal is not None:
-                journal.record_quarantined(
-                    record.task_id, record.attempts, record.failures
-                )
-            return
-        report.retries += 1
-        time.sleep(self.config.backoff_s(len(record.failures)))
+        self._report.retries += 1
+        backoff_s = _BACKOFF_BASE_S * _BACKOFF_FACTOR ** (len(record.failures) - 1)
+        self._eligible_at[record.task_id] = time.monotonic() + backoff_s
+        self._pending.append(record.task_id)
 
     # -- worker lifecycle --------------------------------------------------
     def _spawn_worker(self, result_queue) -> _WorkerHandle:

@@ -81,6 +81,22 @@ class TestParallelCheckExperiment:
         assert report.retries >= 1
         assert (tmp_path / "pool.json").exists()
 
+    def test_degraded_run_is_a_named_mismatch(self, tmp_path, monkeypatch):
+        from repro.runtime.pool import FaultTolerantPool
+
+        def no_workers(self, result_queue):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(FaultTolerantPool, "_spawn_worker", no_workers)
+        report = run_parallel_check(
+            TINY,
+            PoolOptions(workers=2, journal=str(tmp_path / "journal.jsonl")),
+            scenarios=SCENES[:2],
+        )
+        assert report.pool_report.degraded_to_serial
+        assert not report.ok
+        assert any("in-process" in line for line in report.mismatches)
+
     def test_covers_all_14_scenes_by_default(self):
         # The full check is CI's job (make sweep-parallel); here we only
         # pin the default scene set so CI exercises what the paper reports.
@@ -118,3 +134,27 @@ class TestCliWiring:
             ]
         )
         assert code == 0
+
+
+POOL_ONLY_FLAGS = [
+    ["--journal", "j.jsonl"],
+    ["--pool-report", "pool.json"],
+    ["--trace-dir", "traces"],
+    ["--inject-crash", "vgg11|phone|4G indoor static"],
+]
+
+
+class TestCliRejectsIgnoredPoolFlags:
+    @pytest.mark.parametrize("flag", POOL_ONLY_FLAGS, ids=lambda f: f[0])
+    @pytest.mark.parametrize(
+        "head",
+        [["table3"], ["table3", "--workers", "1"], ["table1", "--workers", "2"]],
+        ids=["no-workers", "one-worker", "not-pool-aware"],
+    )
+    def test_exits_2(self, head, flag, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(head + flag)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err

@@ -58,7 +58,7 @@ def _emulate(index):
     return float(result.mean_latency_ms)
 
 
-# Module level so it pickles under fork/spawn. scoped() resets the worker
+# Module level so it pickles into workers. scoped() resets the worker
 # registry at task entry, so the snapshot the pool ships after each task
 # holds exactly that task's metrics.
 @worker_safe
@@ -87,8 +87,6 @@ def runs(tmp_path_factory):
         PoolConfig(
             num_workers=2,
             task_timeout_s=60.0,
-            backoff_base_s=0.01,
-            poll_interval_s=0.01,
             trace_dir=str(parallel_dir),
         )
     )
