@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..latency.compute import LatencyEstimator
 from ..latency.devices import DeviceProfile
 from .spec import LayerSpec, LayerType, TensorShape, infer_output_shape
@@ -37,6 +35,10 @@ class DagModel:
     """A DAG of layers; multi-input nodes are elementwise ``add`` merges."""
 
     def __init__(self, input_shape: TensorShape, name: str = "dag") -> None:
+        # networkx is imported where a DAG is used, so importing repro
+        # (and every chain-model path) does not pay for loading it.
+        import networkx as nx
+
         self.graph = nx.DiGraph()
         self.graph.add_node(INPUT)
         self.input_shape = input_shape
@@ -77,6 +79,8 @@ class DagModel:
     # -- introspection ----------------------------------------------------
     @property
     def layer_ids(self) -> List[str]:
+        import networkx as nx
+
         return [n for n in nx.topological_sort(self.graph) if n != INPUT]
 
     def layer(self, node_id: str) -> LayerSpec:
@@ -177,6 +181,8 @@ def dag_surgery(
     time, and each activation edge carries the producer's transfer time in
     both directions. The model input is pinned to the edge.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     source, sink = "__s__", "__t__"
     for node in dag.layer_ids:

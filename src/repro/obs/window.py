@@ -32,7 +32,8 @@ only on the data's own timestamps, so it too is deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+import math
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..perf import DEFAULT_BUCKET_BOUNDS, HistogramStat
 
@@ -265,16 +266,24 @@ class WindowedCounter:
     def window_sum(
         self, duration_ms: Optional[float] = None, end_ms: Optional[float] = None
     ) -> float:
-        """Sum over the buckets covering ``[end - duration, end)``."""
+        """Sum over the buckets covering ``[end - duration, end)``.
+
+        Visits only the bucket indices that can start inside the span,
+        or every stored bucket when the span covers more of them; either
+        way one predicate decides membership. Counts are integer-valued,
+        so the visiting order cannot change the sum.
+        """
         duration = self.window_ms if duration_ms is None else float(duration_ms)
         _require_positive(duration, "duration_ms")
         end = self.end_ms() if end_ms is None else float(end_ms)
         lo = end - duration
-        return sum(
-            value
-            for index, value in self.buckets.items()
-            if lo <= index * self.bucket_ms < end
-        )
+        buckets, bucket_ms = self.buckets, self.bucket_ms
+        indices: Iterable[int] = buckets
+        if math.isfinite(end) and duration < len(buckets) * bucket_ms:
+            first = self.bucket_index(max(lo, 0.0)) - 1
+            indices = range(first, self.bucket_index(max(end, 0.0)) + 2)
+        get = buckets.get
+        return sum(get(index, 0) for index in indices if lo <= index * bucket_ms < end)
 
     def rate_per_s(
         self, duration_ms: Optional[float] = None, end_ms: Optional[float] = None

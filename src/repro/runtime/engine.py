@@ -9,7 +9,14 @@ Two kinds of plan exist at runtime:
   that child — possibly deciding mid-inference to ship the rest to the
   cloud (Alg. 2 / Sec. IV Overview).
 
-Both are executed against a :class:`RuntimeEnvironment` that owns the
+Everything fixed once a plan is deployed is compiled on its first
+``execute``: each block's non-empty edge spec, and per terminal the
+composed edge prefix, the cloud spec, the payload bytes and the full
+spec. A fixed plan compiles to a one-leaf tree, so both plans run one
+walk, :func:`_walk`, which per request only draws noise, probes, matches
+forks, resolves the offload and builds the outcome.
+
+Plans are executed against a :class:`RuntimeEnvironment` that owns the
 bandwidth trace, the transfer channel, the device profiles, and the
 accuracy evaluator. Latencies advance a simulated clock, so a bandwidth dip
 during an early block is *visible* to later fork decisions — the temporal
@@ -19,7 +26,7 @@ effect the paper's introduction motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -31,7 +38,6 @@ from ..model.spec import ModelSpec
 from ..network.channel import Channel, TransferAttempt
 from ..network.traces import BandwidthTrace
 from ..search.compose import match_fork
-from ..search.composer import SpecComposer
 from ..search.tree import ModelTree, TreeNode
 from .resilience import CircuitBreaker, OffloadPolicy, resolve_offload
 
@@ -179,30 +185,90 @@ def admit_plan(plan: "InferencePlan", base: Optional[ModelSpec] = None) -> None:
         raise_on_error(verify_tree(plan.tree), context="tree plan")
 
 
-def _payload_bytes(
-    edge_spec: Optional[ModelSpec], cloud_spec: ModelSpec
-) -> float:
-    """Bytes crossing the link: the edge output, or the raw cloud input."""
-    if edge_spec is not None and len(edge_spec):
-        return edge_spec.output_shape.num_bytes
-    return cloud_spec.input_shape.num_bytes
+def _nonempty(spec: Optional[ModelSpec]) -> Optional[ModelSpec]:
+    return spec if spec is not None and len(spec) else None
 
 
-def _finish(
+class _Leaf(NamedTuple):
+    """A terminal's request-invariant facts, composed once per plan."""
+
+    edge_spec: Optional[ModelSpec]  # the walked edge prefix, None if empty
+    cloud_spec: Optional[ModelSpec]  # None when nothing offloads
+    payload_bytes: float  # the edge output, or the raw cloud input
+    full_spec: ModelSpec  # what the accuracy evaluator scores
+
+
+class _Node(NamedTuple):
+    """One compiled block: its non-empty edge spec and its fork children."""
+
+    edge_spec: Optional[ModelSpec]
+    children: Tuple["_Node", ...]
+    leaf: Optional[_Leaf]  # set exactly on terminals
+
+
+def _leaf(edge_spec: Optional[ModelSpec], cloud_spec: Optional[ModelSpec]) -> _Leaf:
+    cloud_spec = _nonempty(cloud_spec)
+    if edge_spec is None and cloud_spec is None:
+        raise ValueError("plan has neither edge nor cloud model")
+    if cloud_spec is None:
+        return _Leaf(edge_spec, None, 0.0, edge_spec)
+    if edge_spec is None:
+        return _Leaf(None, cloud_spec, cloud_spec.input_shape.num_bytes, cloud_spec)
+    full = edge_spec.concatenate(cloud_spec, name="composed")
+    return _Leaf(edge_spec, cloud_spec, edge_spec.output_shape.num_bytes, full)
+
+
+def _compile_node(node: TreeNode, prefix: Optional[ModelSpec] = None) -> _Node:
+    """Compile ``node``'s subtree; ``prefix`` is the edge walked above it."""
+    edge_spec = _nonempty(node.edge_spec)
+    if edge_spec is not None:
+        prefix = edge_spec if prefix is None else prefix.concatenate(edge_spec)
+    if node.partitioned or not node.children:
+        return _Node(edge_spec, (), _leaf(prefix, node.cloud_spec))
+    children = tuple(_compile_node(child, prefix) for child in node.children)
+    return _Node(edge_spec, children, None)
+
+
+def _walk(
+    root: _Node,
+    bandwidth_types: Tuple[float, ...],
+    policy: Optional[OffloadPolicy],
+    breaker: Optional[CircuitBreaker],
     start_ms: float,
-    clock: float,
     env: RuntimeEnvironment,
-    edge_spec: Optional[ModelSpec],
-    cloud_spec: Optional[ModelSpec],
-    edge_ms: float,
-    offload,
-    forks: Tuple[int, ...] = (),
-    composer: Optional[SpecComposer] = None,
+    rng: np.random.Generator,
 ) -> InferenceOutcome:
-    """Compose the outcome both plan types report after their offload."""
-    composed = _concat(edge_spec, cloud_spec, composer)
-    accuracy = env.accuracy.evaluate(composed)
-    latency = clock - start_ms
+    """Execute one request down a compiled plan (Alg. 2), block by block.
+
+    Per request this only draws compute noise per block, probes and
+    matches a fork per level, resolves the offload and scores the leaf's
+    full spec; device ms, probes and accuracy are looked up on ``env``
+    each call, because the environment differs between calls.
+    """
+    clock = start_ms
+    node = root
+    edge_ms = 0.0
+    forks: List[int] = []
+    while True:
+        if node.edge_spec is not None:
+            block_ms = env.edge.model_latency_ms(node.edge_spec) * env.compute_noise(rng)
+            edge_ms += block_ms
+            clock += block_ms
+        leaf = node.leaf
+        if leaf is not None:
+            break
+        fork = match_fork(env.probe_bandwidth(clock, rng), bandwidth_types)
+        children = node.children
+        if fork >= len(children):
+            fork = len(children) - 1
+        forks.append(fork)
+        node = children[fork]
+    offload = resolve_offload(
+        env, rng, clock, leaf.cloud_spec, leaf.payload_bytes,
+        policy=policy, breaker=breaker,
+    )
+    accuracy = env.accuracy.evaluate(leaf.full_spec)
+    latency = offload.clock_ms - start_ms
     return InferenceOutcome(
         start_ms=start_ms,
         latency_ms=latency,
@@ -212,7 +278,7 @@ def _finish(
         edge_ms=edge_ms + offload.fallback_edge_ms,
         transfer_ms=offload.transfer_ms,
         cloud_ms=offload.cloud_ms,
-        fork_choices=forks,
+        fork_choices=tuple(forks),
         fell_back=offload.fell_back,
         retries=offload.retries,
         deadline_missed=offload.deadline_missed,
@@ -228,45 +294,25 @@ class FixedPlan:
     one-shot fallback to the resilient state machine of
     :mod:`repro.runtime.resilience`; the breaker is deliberately excluded
     from equality (it is mutable session state, not part of the split).
+    The first ``execute`` compiles the split into the one-leaf case of
+    :class:`TreePlan`'s walk.
     """
 
     edge_spec: Optional[ModelSpec]
     cloud_spec: Optional[ModelSpec]
     policy: Optional[OffloadPolicy] = None
     breaker: Optional[CircuitBreaker] = field(default=None, compare=False)
-    #: Composed-spec cache (excluded from equality like the breaker): the
-    #: edge+cloud composition is identical for every request of a session,
-    #: so repeat requests reuse one cached spec with a warm fingerprint.
-    composer: SpecComposer = field(
-        default_factory=SpecComposer, compare=False, repr=False
-    )
+    _root: Optional[_Node] = field(default=None, init=False, compare=False, repr=False)
 
     def execute(
         self, start_ms: float, env: RuntimeEnvironment, rng: np.random.Generator
     ) -> InferenceOutcome:
-        clock = require_non_negative(start_ms, "start_ms")
-        edge_ms = env.edge_compute_ms(self.edge_spec, rng)
-        clock += edge_ms
-        wants_offload = self.cloud_spec is not None and len(self.cloud_spec) > 0
-        offload = resolve_offload(
-            env,
-            rng,
-            clock,
-            self.cloud_spec if wants_offload else None,
-            _payload_bytes(self.edge_spec, self.cloud_spec) if wants_offload else 0.0,
-            policy=self.policy,
-            breaker=self.breaker,
-        )
-        return _finish(
-            start_ms,
-            offload.clock_ms,
-            env,
-            self.edge_spec,
-            self.cloud_spec,
-            edge_ms,
-            offload,
-            composer=self.composer,
-        )
+        require_non_negative(start_ms, "start_ms")
+        if self._root is None:
+            edge_spec = _nonempty(self.edge_spec)
+            root = _Node(edge_spec, (), _leaf(edge_spec, self.cloud_spec))
+            object.__setattr__(self, "_root", root)
+        return _walk(self._root, (), self.policy, self.breaker, start_ms, env, rng)
 
 
 @dataclass(frozen=True)
@@ -275,80 +321,25 @@ class TreePlan:
 
     Shares :func:`~repro.runtime.resilience.resolve_offload` with
     :class:`FixedPlan`, so the same retry/breaker/deadline semantics apply
-    once the walk commits to a partitioned terminal.
+    once the walk commits to a partitioned terminal. The first ``execute``
+    compiles the tree (every leaf's composed spec and payload), so later
+    changes to the tree's nodes do not reach an executed plan.
     """
 
     tree: ModelTree
     policy: Optional[OffloadPolicy] = None
     breaker: Optional[CircuitBreaker] = field(default=None, compare=False)
-    #: Composed-spec cache (excluded from equality like the breaker): a
-    #: session's requests revisit the same few tree paths, so the walked
-    #: edge prefix is composed once per distinct path, not per request.
-    composer: SpecComposer = field(
-        default_factory=SpecComposer, compare=False, repr=False
-    )
+    _root: Optional[_Node] = field(default=None, init=False, compare=False, repr=False)
+    _types: Tuple[float, ...] = field(default=(), init=False, compare=False, repr=False)
 
     def execute(
         self, start_ms: float, env: RuntimeEnvironment, rng: np.random.Generator
     ) -> InferenceOutcome:
-        clock = require_non_negative(start_ms, "start_ms")
-        node = self.tree.root
-        edge_parts: List[ModelSpec] = []
-        edge_ms_total = 0.0
-        forks: List[int] = []
-
-        while True:
-            if node.edge_spec is not None and len(node.edge_spec):
-                block_ms = env.edge_compute_ms(node.edge_spec, rng)
-                edge_ms_total += block_ms
-                clock += block_ms
-                edge_parts.append(node.edge_spec)
-            if node.partitioned or not node.children:
-                break
-            measured = env.probe_bandwidth(clock, rng)
-            fork = match_fork(measured, self.tree.bandwidth_types)
-            fork = min(fork, len(node.children) - 1)
-            forks.append(fork)
-            node = node.children[fork]
-
-        edge_spec = self.composer.concat(edge_parts)
-        wants_offload = node.cloud_spec is not None and len(node.cloud_spec) > 0
-        offload = resolve_offload(
-            env,
-            rng,
-            clock,
-            node.cloud_spec if wants_offload else None,
-            _payload_bytes(edge_spec, node.cloud_spec) if wants_offload else 0.0,
-            policy=self.policy,
-            breaker=self.breaker,
+        require_non_negative(start_ms, "start_ms")
+        if self._root is None:
+            object.__setattr__(self, "_root", _compile_node(self.tree.root))
+            types = tuple(float(t) for t in self.tree.bandwidth_types)
+            object.__setattr__(self, "_types", types)
+        return _walk(
+            self._root, self._types, self.policy, self.breaker, start_ms, env, rng
         )
-        return _finish(
-            start_ms,
-            offload.clock_ms,
-            env,
-            edge_spec,
-            node.cloud_spec,
-            edge_ms_total,
-            offload,
-            forks=tuple(forks),
-            composer=self.composer,
-        )
-
-
-def _concat(
-    edge_spec: Optional[ModelSpec],
-    cloud_spec: Optional[ModelSpec],
-    composer: Optional[SpecComposer] = None,
-) -> ModelSpec:
-    if composer is not None:
-        composed = composer.concat([edge_spec, cloud_spec], name="composed")
-        if composed is None:
-            raise ValueError("plan has neither edge nor cloud model")
-        return composed
-    if edge_spec is not None and len(edge_spec) and cloud_spec is not None and len(cloud_spec):
-        return edge_spec.concatenate(cloud_spec, name="composed")
-    if edge_spec is not None and len(edge_spec):
-        return edge_spec
-    if cloud_spec is not None and len(cloud_spec):
-        return cloud_spec
-    raise ValueError("plan has neither edge nor cloud model")

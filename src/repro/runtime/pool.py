@@ -21,7 +21,9 @@ robust *by construction* rather than parallel-then-hardened:
 - **crash-safe journal** — completed results stream through a
   flush-per-record :class:`~repro.obs.sink.JsonlSink`; a killed sweep
   restarted with the same journal replays completed cells from disk and
-  dispatches only the remainder;
+  dispatches only the remainder; a record replays only for the same
+  function and arguments (:func:`task_key`), so one journal shared by
+  different sweeps re-runs what they disagree on;
 - **telemetry merge** — every attempt runs in a fresh
   :class:`~repro.perf.PerfRegistry` scope and ships its snapshot back
   with its result; the parent folds them into one report.
@@ -36,6 +38,7 @@ safe to run in forked workers.
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import multiprocessing
 import os
@@ -75,6 +78,19 @@ class PoolTask:
     task_id: str
     args: Tuple[Any, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+
+def task_key(fn: Callable[..., Any], task: PoolTask) -> str:
+    """What produced a task's result: ``fn`` and the task's arguments.
+
+    The journal stores it beside each result; a journaled result replays
+    only for a task with the same key, so a task id reused with another
+    function or other arguments re-runs.
+    """
+    produced_by = (
+        fn.__module__, fn.__qualname__, task.args, sorted(task.kwargs.items())
+    )
+    return hashlib.sha256(pickle.dumps(produced_by, protocol=4)).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -279,11 +295,18 @@ class ResultJournal:
         return pickle.loads(payload)
 
     def record_ok(
-        self, task_id: str, value: Any, attempts: int, elapsed_s: float
+        self,
+        task_id: str,
+        value: Any,
+        attempts: int,
+        elapsed_s: float,
+        key: Optional[str] = None,
     ) -> None:
+        """Journal a result; ``key`` is its :func:`task_key`."""
         require_non_negative(elapsed_s, "elapsed_s")
         record = {
             "task_id": task_id,
+            "key": key,
             "status": "ok",
             "attempts": attempts,
             "elapsed_s": round(elapsed_s, 6),
@@ -463,10 +486,11 @@ class FaultTolerantPool:
         started = time.perf_counter()
 
         self._journal = ResultJournal(journal_path) if journal_path else None
+        self._keys = {t.task_id: task_key(fn, t) for t in tasks} if journal_path else {}
         try:
             if self._journal is not None:
                 for task_id, record in self._journal.completed_ok().items():
-                    if task_id in records:
+                    if task_id in records and record.get("key") == self._keys[task_id]:
                         self._results[task_id] = ResultJournal.decode(record)
                         records[task_id].status = "ok"
                         records[task_id].resumed = True
@@ -621,7 +645,8 @@ class FaultTolerantPool:
                 self._pending.remove(task_id)
             if self._journal is not None:
                 self._journal.record_ok(
-                    task_id, value, record.attempts, elapsed_s
+                    task_id, value, record.attempts, elapsed_s,
+                    key=self._keys[task_id],
                 )
         else:
             _, _, _, _, error, elapsed_s = message

@@ -3,7 +3,7 @@
 The paper's main comparator "finds out the optimal partition for a fixed
 DNN model under a constant network state by searching the min-cut on a
 DAG" (dynamic adaptive DNN surgery, INFOCOM'19). We reproduce it with a
-max-flow/min-cut construction on the layer graph (networkx):
+min-cut construction on the layer graph:
 
 - source ``s`` = edge side, sink ``t`` = cloud side;
 - capacity ``s → i`` = the *cloud* compute time of layer ``i`` (paid when
@@ -12,6 +12,10 @@ max-flow/min-cut construction on the layer graph (networkx):
 - capacity ``i → j`` for each activation edge = the transfer time of ``i``'s
   output at the given bandwidth (paid when the activation crosses the cut),
   with an equal-capacity reverse edge so backward crossings pay too.
+
+The layer graph of a chain is a path, so its minimum cut is a two-state
+dynamic program over the layers (:func:`_min_cut_prefix`); the general
+DAG case is :func:`repro.model.dag.dag_surgery`.
 
 The model stays *unmodified* (no compression), so the surgery baseline's
 accuracy always equals the base accuracy — exactly as in Tables IV/V where
@@ -26,9 +30,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import networkx as nx
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 from ..contracts import require_positive
 from ..perf import get_registry
@@ -44,6 +47,49 @@ class SurgeryResult:
     result: CandidateResult
 
 
+def _min_cut_prefix(
+    edge_ms: Sequence[float], cloud_ms: Sequence[float], cross_ms: Sequence[float]
+) -> int:
+    """Leading layers on the edge side of a chain's minimum s–t cut.
+
+    Layer ``i`` pays ``edge_ms[i]`` on the edge (source) side and
+    ``cloud_ms[i]`` on the cloud (sink) side, plus ``cross_ms[i]`` when it
+    sits on the other side from what feeds it: layer ``i - 1``, or for
+    ``i = 0`` the raw input, which is pinned to the edge. Of the minimum
+    cuts it takes the one with the most layers on the edge, which is the
+    source side a max flow's residual graph gives. The sums are exact
+    (``Fraction``), so two cuts of equal cost tie.
+    """
+    edge = [Fraction(x) for x in edge_ms]
+    cloud = [Fraction(x) for x in cloud_ms]
+    cross = [Fraction(x) for x in cross_ms]
+    n = len(edge)
+    if n == 0:
+        return 0
+    # ahead[i] / behind[i]: cheapest cut of layers ..i / i.. with layer i
+    # on the (edge, cloud) side.
+    ahead = [(edge[0], cloud[0] + cross[0])]
+    for i in range(1, n):
+        on_edge, on_cloud = ahead[-1]
+        ahead.append((
+            edge[i] + min(on_edge, on_cloud + cross[i]),
+            cloud[i] + min(on_cloud, on_edge + cross[i]),
+        ))
+    behind = [(edge[-1], cloud[-1])]
+    for i in range(n - 2, -1, -1):
+        on_edge, on_cloud = behind[-1]
+        behind.append((
+            edge[i] + min(on_edge, on_cloud + cross[i + 1]),
+            cloud[i] + min(on_cloud, on_edge + cross[i + 1]),
+        ))
+    behind.reverse()
+    best = min(ahead[-1])
+    prefix = 0
+    while prefix < n and ahead[prefix][0] + behind[prefix][0] - edge[prefix] == best:
+        prefix += 1
+    return prefix
+
+
 def dynamic_dnn_surgery(
     context: SearchContext, bandwidth_mbps: float
 ) -> SurgeryResult:
@@ -52,36 +98,20 @@ def dynamic_dnn_surgery(
     get_registry().count("surgery.runs")
     spec = context.base
     estimator = context.estimator
-    graph = nx.DiGraph()
-    source, sink = "s", "t"
     n = len(spec)
-
-    for i in range(n):
-        shapes = (spec.input_shape_of(i), spec.output_shape_of(i))
-        graph.add_edge(source, i, capacity=estimator.cloud.layer_latency_ms(spec[i], *shapes))
-        graph.add_edge(i, sink, capacity=estimator.edge.layer_latency_ms(spec[i], *shapes))
-    # Input arrives on the edge device: shipping the raw input costs its
-    # transfer time, modeled by chaining the source to layer 0's data edge.
+    shapes = [(spec.input_shape_of(i), spec.output_shape_of(i)) for i in range(n)]
     transfer = estimator.transfer
-    graph.add_edge(source, "input", capacity=float("inf"))
-    graph.add_edge(
-        "input",
-        0,
-        capacity=transfer.latency_ms(spec.input_shape.num_bytes, bandwidth_mbps),
+    partition_index = _min_cut_prefix(
+        [estimator.edge.layer_latency_ms(spec[i], *shapes[i]) for i in range(n)],
+        [estimator.cloud.layer_latency_ms(spec[i], *shapes[i]) for i in range(n)],
+        # Input arrives on the edge device: shipping the raw input costs
+        # its transfer time; later crossings ship the previous activation.
+        [transfer.latency_ms(spec.input_shape.num_bytes, bandwidth_mbps)]
+        + [
+            transfer.latency_ms(spec.feature_bytes_after(i), bandwidth_mbps)
+            for i in range(n - 1)
+        ],
     )
-    graph.add_edge(0, "input", capacity=0.0)
-    for i in range(n - 1):
-        cost = transfer.latency_ms(spec.feature_bytes_after(i), bandwidth_mbps)
-        graph.add_edge(i, i + 1, capacity=cost)
-        graph.add_edge(i + 1, i, capacity=cost)
-
-    cut_value, (edge_side, cloud_side) = nx.minimum_cut(graph, source, sink)
-    # For a chain the min cut is a prefix/suffix split; recover the boundary.
-    on_edge = {i for i in range(n) if i in edge_side}
-    partition_index = 0
-    while partition_index < n and partition_index in on_edge:
-        partition_index += 1
-
     edge_spec = spec.slice(0, partition_index) if partition_index > 0 else None
     cloud_spec = spec.slice(partition_index, n) if partition_index < n else None
     result = context.evaluate(edge_spec, cloud_spec, bandwidth_mbps)

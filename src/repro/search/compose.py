@@ -10,9 +10,7 @@ cloud).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..contracts import require_positive
 from ..model.spec import ModelSpec
@@ -58,11 +56,21 @@ class ComposedModel:
         return f"{edge}:{cloud}"
 
 
-def match_fork(bandwidth_mbps: float, bandwidth_types: List[float]) -> int:
-    """Match a live measurement to the nearest configured bandwidth type."""
+def match_fork(bandwidth_mbps: float, bandwidth_types: Sequence[float]) -> int:
+    """Match a live measurement to the nearest configured bandwidth type.
+
+    A tie goes to the lower index, as ``np.argmin`` breaks it. A plain
+    loop, because the engine calls this once per fork per request over
+    two or three types.
+    """
     require_positive(bandwidth_mbps, "bandwidth_mbps")
-    distances = [abs(bandwidth_mbps - t) for t in bandwidth_types]
-    return int(np.argmin(distances))
+    best = 0
+    best_distance = abs(bandwidth_mbps - bandwidth_types[0])
+    for index in range(1, len(bandwidth_types)):
+        distance = abs(bandwidth_mbps - bandwidth_types[index])
+        if distance < best_distance:
+            best, best_distance = index, distance
+    return best
 
 
 def compose_from_tree(
@@ -73,8 +81,9 @@ def compose_from_tree(
     """Algorithm 2: grow a model from the tree, fork by measured bandwidth.
 
     ``composer`` (optional) caches the edge-prefix concatenation by the
-    parts' fingerprints, so repeated walks down the same path — the normal
-    case across a session's requests — reuse one composed spec.
+    parts' fingerprints, so repeated walks down the same path reuse one
+    composed spec. The runtime engine walks a compiled copy of the tree
+    instead (:mod:`repro.runtime.engine`) and shares :func:`match_fork`.
     """
     get_registry().count("compose.walks")
     node = tree.root

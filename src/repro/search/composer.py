@@ -3,17 +3,15 @@
 Composing a candidate — a path's edge prefix, the inherited cloud suffix,
 or the full edge+cloud model — re-concatenates the same immutable
 :class:`~repro.model.spec.ModelSpec` parts thousands of times across
-episodes and runtime requests. Each concatenation rebuilds the layer tuple
-and forces a fresh fingerprint serialization downstream. The parts are
-immutable and carry lazily *cached* fingerprints, so the composition is
+episodes. Each concatenation rebuilds the layer tuple and forces a fresh
+fingerprint serialization downstream. The parts are immutable and carry lazily *cached* fingerprints, so the composition is
 fully determined by the part fingerprints: :class:`SpecComposer` memoizes
 it in a bounded LRU :class:`~repro.perf.MemoPool` keyed on exactly that
 tuple. A cache hit also returns a spec whose own fingerprint was already
 computed, making downstream memo lookups (accuracy, search results) O(1).
 
-One composer per owner (a :class:`~repro.search.context.SearchContext`, a
-runtime plan) — never module-global, so parallel scenario workers share
-nothing.
+One composer per owner (a :class:`~repro.search.context.SearchContext`)
+— never module-global, so parallel scenario workers share nothing.
 """
 
 from __future__ import annotations

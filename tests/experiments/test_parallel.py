@@ -63,6 +63,23 @@ class TestRunScenariosParallel:
         assert options.last_report is None
 
 
+class TestSharedJournal:
+    def test_table4_after_table3_on_one_journal_matches_serial(self, tmp_path):
+        """Table III journals scenes run without replays; Table IV on the
+        same journal must re-run them, not replay outcomes that lack the
+        emulation it reads."""
+        from repro.experiments.table3 import run_table3
+        from repro.experiments.table45 import run_tables45
+
+        journal = str(tmp_path / "shared.jsonl")
+        scenes = SCENES[:2]
+        run_table3(TINY, scenes, pool_options=PoolOptions(workers=2, journal=journal))
+        options = PoolOptions(workers=2, journal=journal)
+        shared = run_tables45(TINY, scenes, pool_options=options)
+        assert shared == run_tables45(TINY, scenes)
+        assert options.last_report.resumed == 0
+
+
 class TestParallelCheckExperiment:
     def test_resume_and_crash_recovery_verdict(self, tmp_path):
         report = run_parallel_check(

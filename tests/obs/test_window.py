@@ -1,6 +1,8 @@
 """Windowed metrics: rings of mergeable slabs over simulated time."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.window import (
     WindowedCounter,
@@ -139,6 +141,47 @@ class TestWindowedCounter:
         for i in range(12):
             counter.add(float(i), t_ms=i * 75.0)
         assert WindowedCounter.from_state(counter.state()).state() == counter.state()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bucket_ms=st.floats(0.1, 2_000.0),
+        max_buckets=st.integers(1, 40),
+        # Times, spans and ends in bucket widths, so most windows cover
+        # fewer buckets than the ring stores (the bounded walk).
+        adds=st.lists(
+            st.tuples(st.integers(0, 5), st.floats(0.0, 120.0)), max_size=80
+        ),
+        merged=st.lists(st.floats(0.0, 120.0), max_size=10),
+        duration=st.one_of(st.none(), st.floats(0.01, 150.0)),
+        end=st.one_of(
+            st.none(),
+            st.floats(-2.0, 130.0),
+            st.sampled_from([float("inf"), float("-inf")]),
+        ),
+    )
+    def test_window_sum_matches_full_bucket_scan(
+        self, bucket_ms, max_buckets, adds, merged, duration, end
+    ):
+        """The bounded index walk sums exactly the buckets a scan of every
+        stored bucket would: out-of-order times, non-integer widths,
+        evicted buckets, and stale buckets folded in by ``merge``."""
+        counter = WindowedCounter(bucket_ms=bucket_ms, max_buckets=max_buckets)
+        for by, t in adds:  # arbitrary order: late adds land below the floor
+            counter.add(float(by), t_ms=t * bucket_ms)
+        stale = WindowedCounter(bucket_ms=bucket_ms)
+        for t in merged:
+            stale.add(1.0, t_ms=t * bucket_ms)
+        counter.merge(stale)
+        duration_ms = None if duration is None else duration * bucket_ms
+        end_ms = None if end is None else end * bucket_ms
+        hi = counter.end_ms() if end_ms is None else end_ms
+        lo = hi - (counter.window_ms if duration_ms is None else duration_ms)
+        scanned = sum(
+            value
+            for index, value in counter.buckets.items()
+            if lo <= index * bucket_ms < hi
+        )
+        assert counter.window_sum(duration_ms, end_ms) == scanned
 
 
 class TestMergeStates:

@@ -1,18 +1,25 @@
 """Tests for the online runtime: plans, emulation, field harness."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.latency.devices import CLOUD_SERVER, XIAOMI_MI_6X
 from repro.latency.transfer import CELLULAR_TRANSFER
 from repro.mdp import PAPER_REWARD
+from repro.model.spec import ModelSpec
 from repro.network.channel import Channel
 from repro.network.traces import BandwidthTrace, constant_trace
+from repro.nn.zoo import tiny_cnn
 from repro.runtime.emulator import run_emulation
 from repro.runtime.engine import FixedPlan, RuntimeEnvironment, TreePlan
 from repro.runtime.field import FieldConditions, fieldify, make_compute_noise
-from repro.search.tree import TreeSearchConfig, model_tree_search
-from tests.conftest import make_context
+from repro.search.compose import compose_from_tree
+from repro.search.tree import ModelTree, TreeNode, TreeSearchConfig, model_tree_search
+from tests.conftest import make_context, make_split_tree
 
 
 def make_env(context, trace):
@@ -104,6 +111,128 @@ class TestTreePlan:
         if low.fork_choices and high.fork_choices:
             assert all(f == 0 for f in low.fork_choices)
             assert all(f == len(tree.bandwidth_types) - 1 for f in high.fork_choices)
+
+
+TINY = tiny_cnn()
+TINY_CONTEXT = make_context(TINY)
+
+
+def _fingerprint(spec):
+    return spec.fingerprint() if spec is not None and len(spec) else None
+
+
+@st.composite
+def _trees(draw):
+    """Random model trees over ``TINY``: unbalanced (fewer children than
+    types), grafted flags, empty or missing edge blocks, partitioned
+    nodes that still carry children, and K = 1."""
+    k = draw(st.integers(1, 3))
+    types = draw(st.lists(st.floats(0.5, 50.0), min_size=k, max_size=k, unique=True))
+    end = len(TINY)
+
+    def node(block, start, fork, depth):
+        stop = draw(st.integers(max(start, 1), end))
+        edge = TINY.slice(start, stop)
+        if not len(edge) and draw(st.booleans()):
+            edge = None
+        partitioned = draw(st.integers(0, 3)) == 0
+        children = []
+        if depth and draw(st.integers(0, 3)):
+            count = draw(st.integers(1, len(types)))
+            children = [node(block + 1, stop, i, depth - 1) for i in range(count)]
+        return TreeNode(
+            block_index=block,
+            fork_index=fork,
+            bandwidth_mbps=1.0,
+            edge_spec=edge,
+            cloud_spec=TINY.slice(stop, end) if partitioned else None,
+            partitioned=partitioned,
+            children=children,
+            grafted=draw(st.booleans()),
+        )
+
+    root = node(0, 0, None, 3)
+    return ModelTree(root=root, bandwidth_types=types, base=TINY, num_blocks=4)
+
+
+class TestCompiledWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(tree=_trees(), data=st.data())
+    def test_walk_matches_compose_from_tree(self, tree, data):
+        types = tree.bandwidth_types
+        ties = [(a + b) / 2 for a, b in itertools.combinations(types, 2)]
+        probe = st.one_of(st.floats(0.1, 100.0), st.sampled_from(types + ties))
+        probes = data.draw(st.lists(probe, min_size=1, max_size=12))
+        walked, composed = itertools.cycle(probes), itertools.cycle(probes)
+        env = make_env(TINY_CONTEXT, constant_trace(10.0))
+        env.bandwidth_probe_noise = lambda true_mbps, t_ms, rng: next(walked)
+        plan = TreePlan(tree)
+        for request in range(3):
+            outcome = plan.execute(100.0 * request, env, np.random.default_rng(0))
+            expected = compose_from_tree(tree, lambda block: next(composed))
+            forks = tuple(
+                next(i for i, c in enumerate(parent.children) if c is child)
+                for parent, child in zip(expected.path, expected.path[1:])
+            )
+            assert outcome.fork_choices == forks
+            leaf = plan._root
+            for fork in forks:
+                leaf = leaf.children[fork]
+            leaf = leaf.leaf
+            assert _fingerprint(leaf.edge_spec) == _fingerprint(expected.edge_spec)
+            assert _fingerprint(leaf.cloud_spec) == _fingerprint(expected.cloud_spec)
+            assert leaf.full_spec.fingerprint() == expected.full_spec().fingerprint()
+            assert outcome.offloaded == expected.offloads
+            assert outcome.accuracy == env.accuracy.evaluate(expected.full_spec())
+
+    def test_fork_past_the_last_child_takes_the_last(self, small_spec):
+        root = make_split_tree(small_spec, split=2).root
+        child = make_split_tree(small_spec.slice(2, len(small_spec))).root
+        root.partitioned, root.children = False, [child]
+        tree = ModelTree(root=root, bandwidth_types=[5.0, 20.0], base=small_spec, num_blocks=2)
+        env = make_env(make_context(small_spec), constant_trace(30.0))
+        outcome = TreePlan(tree).execute(0.0, env, np.random.default_rng(0))
+        assert outcome.fork_choices == (0,)
+        assert outcome.offloaded
+
+    def test_repeat_execute_builds_no_spec(self, small_spec, monkeypatch):
+        """The plan compiles on its first request; later requests build no
+        ModelSpec and score the same full-spec object."""
+        scored = []
+
+        class Recording:
+            def evaluate(self, spec):
+                scored.append(spec)
+                return 0.9
+
+        env = make_env(make_context(small_spec), constant_trace(10.0))
+        env.accuracy = Recording()
+        plan = TreePlan(make_split_tree(small_spec))
+        rng = np.random.default_rng(0)
+        plan.execute(0.0, env, rng)
+        built = []
+        init = ModelSpec.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "__init__", counting_init)
+        for start_ms in (10.0, 20.0, 30.0):
+            plan.execute(start_ms, env, rng)
+        assert built == []
+        assert len(scored) == 4
+        assert all(spec is scored[0] for spec in scored)
+
+    @pytest.mark.parametrize("split", [0, 4, 9])
+    def test_fixed_plan_equals_one_node_tree_plan(self, small_spec, split):
+        env = fieldify(make_env(make_context(small_spec), constant_trace(10.0)))
+        tree = make_split_tree(small_spec, split=split)
+        fixed = FixedPlan(tree.root.edge_spec, tree.root.cloud_spec)
+        for seed in range(3):
+            assert fixed.execute(5.0, env, np.random.default_rng(seed)) == (
+                TreePlan(tree).execute(5.0, env, np.random.default_rng(seed))
+            )
 
 
 class TestEmulator:

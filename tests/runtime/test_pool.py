@@ -264,6 +264,29 @@ class TestJournalResume:
         assert records["t0"].resumed and records["t1"].resumed
         assert not records["t2"].resumed
 
+    def test_resume_reruns_a_task_id_with_other_arguments(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        pool = FaultTolerantPool(_fast_config())
+        pool.run(_double, [PoolTask("t0", args=(1,))], journal_path=journal)
+        changed = [PoolTask("t0", args=(5,)), PoolTask("t1", args=(1,))]
+        rerun = FaultTolerantPool(_fast_config()).run(
+            _double, changed, journal_path=journal
+        )
+        assert rerun.require_complete() == [10, 2]
+        assert rerun.report.resumed == 0
+        # The same function and arguments replay from the journal ...
+        again = FaultTolerantPool(_fast_config()).run(
+            _double, changed, journal_path=journal
+        )
+        assert again.require_complete() == [10, 2]
+        assert again.report.resumed == 2
+        # ... another function with the same arguments re-runs.
+        other = FaultTolerantPool(_fast_config()).run(
+            _fail_if_poison, changed, journal_path=journal
+        )
+        assert other.require_complete() == [5, 1]
+        assert other.report.resumed == 0
+
     def test_resume_tolerates_torn_final_line(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         pool = FaultTolerantPool(_fast_config())

@@ -1,11 +1,20 @@
 """Tests for Dynamic DNN Surgery (min-cut) and the search baselines."""
 
+import itertools
+from fractions import Fraction
+
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.latency import CLOUD_SERVER, LatencyEstimator
+from repro.latency.devices import get_device
+from repro.latency.transfer import CELLULAR_TRANSFER, WIFI_TRANSFER
+from repro.nn.zoo import alexnet, vgg11
 from repro.search.baselines import (
+    _min_cut_prefix,
     dynamic_dnn_surgery,
     exhaustive_branch_search,
     exhaustive_chain_partition,
@@ -47,6 +56,85 @@ class TestDynamicDNNSurgery:
             assert surgery.result.cloud_spec is None
         else:
             assert len(surgery.result.edge_spec) == p
+
+
+def _networkx_prefix(edge_ms, cloud_ms, cross_ms):
+    """The layer graph's min cut by networkx max flow (the reference)."""
+    graph = nx.DiGraph()
+    for i, (edge, cloud) in enumerate(zip(edge_ms, cloud_ms)):
+        graph.add_edge("s", i, capacity=cloud)
+        graph.add_edge(i, "t", capacity=edge)
+    graph.add_edge("s", "input", capacity=float("inf"))
+    graph.add_edge("input", 0, capacity=cross_ms[0])
+    graph.add_edge(0, "input", capacity=0.0)
+    for i in range(1, len(edge_ms)):
+        graph.add_edge(i - 1, i, capacity=cross_ms[i])
+        graph.add_edge(i, i - 1, capacity=cross_ms[i])
+    _, (edge_side, _) = nx.minimum_cut(graph, "s", "t")
+    prefix = 0
+    while prefix < len(edge_ms) and prefix in edge_side:
+        prefix += 1
+    return prefix
+
+
+def _enumerated_prefix(edge_ms, cloud_ms, cross_ms):
+    """Every edge/cloud assignment, costed exactly; the union of the
+    minimum cuts' edge sides, as a prefix length."""
+    costs = {}
+    for sides in itertools.product((0, 1), repeat=len(edge_ms)):
+        cost, before = Fraction(0), 0
+        for i, side in enumerate(sides):
+            cost += Fraction(cloud_ms[i] if side else edge_ms[i])
+            cost += Fraction(cross_ms[i]) if side != before else 0
+            before = side
+        costs[sides] = cost
+    best = min(costs.values())
+    on_edge = {
+        i for sides, cost in costs.items() if cost == best
+        for i, side in enumerate(sides) if not side
+    }
+    prefix = 0
+    while prefix in on_edge:
+        prefix += 1
+    return prefix
+
+
+def _chain(draw_value):
+    return st.integers(1, 7).flatmap(
+        lambda n: st.tuples(*[st.lists(draw_value, min_size=n, max_size=n)] * 3)
+    )
+
+
+class TestMinCutPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(_chain(st.integers(0, 4).map(float)))
+    def test_matches_networkx_on_exact_capacities(self, chain):
+        """Small integers keep networkx's float max flow exact, so the two
+        must agree on every cut, ties included."""
+        assert _min_cut_prefix(*chain) == _networkx_prefix(*chain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chain(st.floats(0.0, 10.0)))
+    def test_matches_exact_enumeration(self, chain):
+        assert _min_cut_prefix(*chain) == _enumerated_prefix(*chain)
+
+    @pytest.mark.parametrize("model", [vgg11, alexnet])
+    @pytest.mark.parametrize("device", ["xiaomi_mi_6x", "jetson_tx2"])
+    @pytest.mark.parametrize("transfer", [WIFI_TRANSFER, CELLULAR_TRANSFER])
+    def test_matches_networkx_on_zoo_models(self, model, device, transfer):
+        spec = model()
+        estimator = LatencyEstimator(get_device(device), CLOUD_SERVER, transfer)
+        shapes = [(spec.input_shape_of(i), spec.output_shape_of(i)) for i in range(len(spec))]
+        edge_ms = [estimator.edge.layer_latency_ms(layer, *s) for layer, s in zip(spec, shapes)]
+        cloud_ms = [estimator.cloud.layer_latency_ms(layer, *s) for layer, s in zip(spec, shapes)]
+        for bandwidth in np.logspace(-1.5, 3, 25):
+            cross_ms = [transfer.latency_ms(spec.input_shape.num_bytes, bandwidth)] + [
+                transfer.latency_ms(spec.feature_bytes_after(i), bandwidth)
+                for i in range(len(spec) - 1)
+            ]
+            assert _min_cut_prefix(edge_ms, cloud_ms, cross_ms) == _networkx_prefix(
+                edge_ms, cloud_ms, cross_ms
+            )
 
 
 class TestExhaustiveSearch:

@@ -1,6 +1,5 @@
 """Tests for the fingerprint-keyed composed-spec cache."""
 
-import numpy as np
 import pytest
 
 from repro.search.composer import SpecComposer
@@ -99,30 +98,3 @@ class TestComposerIntegration:
         legacy = compose_from_tree(tree, lambda block: 5.0)
         assert legacy.edge_spec.fingerprint() == cached.edge_spec.fingerprint()
         assert legacy.cloud_spec.fingerprint() == cached.cloud_spec.fingerprint()
-
-    def test_tree_plan_execute_populates_composer(self, small_spec):
-        from repro.latency.devices import CLOUD_SERVER, XIAOMI_MI_6X
-        from repro.latency.transfer import CELLULAR_TRANSFER
-        from repro.mdp import PAPER_REWARD
-        from repro.network.channel import Channel
-        from repro.network.traces import constant_trace
-        from repro.runtime.engine import RuntimeEnvironment, TreePlan
-
-        context = make_context(small_spec)
-        tree = make_split_tree(small_spec)
-        plan = TreePlan(tree=tree)
-        trace = constant_trace(10.0, duration_s=60.0)
-        env = RuntimeEnvironment(
-            edge=XIAOMI_MI_6X,
-            cloud=CLOUD_SERVER,
-            trace=trace,
-            channel=Channel(trace, CELLULAR_TRANSFER),
-            accuracy=context.accuracy,
-            reward=PAPER_REWARD,
-        )
-        rng = np.random.default_rng(0)
-        plan.execute(0.0, env, rng)
-        plan.execute(10.0, env, rng)
-        stats = plan.composer.stats
-        assert stats.lookups > 0
-        assert stats.hits > 0  # the second request reuses the composition

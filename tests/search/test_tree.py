@@ -174,6 +174,20 @@ class TestCompose:
         assert match_fork(12.4, types) == 0  # closer to 5? no: |12.4-5|=7.4 > |12.4-20|=7.6 -> 0
         assert match_fork(13.0, types) == 1
 
+    @pytest.mark.parametrize(
+        "bandwidth, types, expected",
+        [
+            (12.5, [5.0, 20.0], 0),
+            (12.5, [20.0, 5.0], 0),
+            (17.5, [5.0, 15.0, 20.0], 1),
+            (7.5, [5.0, 10.0, 5.0], 0),
+        ],
+    )
+    def test_match_fork_tie_takes_the_lower_index(self, bandwidth, types, expected):
+        """Equidistant types resolve to the first, as ``np.argmin`` does."""
+        assert match_fork(bandwidth, types) == expected
+        assert expected == int(np.argmin([abs(bandwidth - t) for t in types]))
+
     def test_compose_follows_probe(self, tree_result):
         tree = tree_result.tree
         low = compose_from_tree(tree, lambda block: 1.0)
