@@ -243,6 +243,16 @@ def infer_output_shape(layer: LayerSpec, input_shape: TensorShape) -> TensorShap
     raise ValueError(f"unknown layer type: {lt}")
 
 
+def _infer_shapes(
+    layers: Sequence[LayerSpec], shapes: List[TensorShape]
+) -> List[TensorShape]:
+    """Append each layer's inferred output shape to ``shapes`` (which ends
+    with the first layer's input shape) and return it."""
+    for layer in layers:
+        shapes.append(infer_output_shape(layer, shapes[-1]))
+    return shapes
+
+
 def layer_parameter_count(layer: LayerSpec, in_channels: int) -> int:
     """Number of weights in a layer given its input channel count."""
     lt = layer.layer_type
@@ -306,7 +316,10 @@ class ModelSpec:
 
     Shape inference runs eagerly at construction so invalid specs (e.g. a
     conv after flattening) fail fast, and per-layer input/output shapes are
-    available to the latency model and compression techniques.
+    available to the latency model and compression techniques. Specs
+    derived from valid ones (:meth:`slice`, :meth:`concatenate`,
+    :meth:`replace_range`) reuse the shapes they already know and infer
+    only those of new or shifted layers.
     """
 
     def __init__(
@@ -315,17 +328,30 @@ class ModelSpec:
         input_shape: TensorShape,
         name: str = "model",
     ) -> None:
-        self.layers: Tuple[LayerSpec, ...] = tuple(layers)
-        self.input_shape = input_shape
+        layers = tuple(layers)
+        self._set_layers(layers, _infer_shapes(layers, [input_shape]), name)
+
+    @classmethod
+    def _derived(
+        cls, layers: Sequence[LayerSpec], shapes: List[TensorShape], name: str
+    ) -> "ModelSpec":
+        """A spec whose per-layer ``shapes`` (input first) are already known."""
+        spec = cls.__new__(cls)
+        spec._set_layers(tuple(layers), shapes, name)
+        return spec
+
+    def _set_layers(
+        self, layers: Tuple[LayerSpec, ...], shapes: List[TensorShape], name: str
+    ) -> None:
+        self.layers: Tuple[LayerSpec, ...] = layers
+        self.input_shape = shapes[0]
         self.name = name
         self._fingerprint: Optional[str] = None  # computed lazily, then cached
         # Latency-model caches, filled lazily by ``model_macc_entries`` and
         # ``DeviceProfile.model_latency_ms``.
         self._macc_entries: Optional[Tuple[MaccEntry, ...]] = None
         self._latency_ms: Optional[Dict[int, Tuple[DeviceProfile, float]]] = None
-        self._shapes: List[TensorShape] = [input_shape]
-        for layer in self.layers:
-            self._shapes.append(infer_output_shape(layer, self._shapes[-1]))
+        self._shapes = shapes
 
     # -- basics ----------------------------------------------------------
     def __len__(self) -> int:
@@ -408,16 +434,21 @@ class ModelSpec:
     # -- surgery ------------------------------------------------------------
     def replace_layer(self, index: int, new_layers: Sequence[LayerSpec]) -> "ModelSpec":
         """Return a new spec with layer ``index`` replaced by ``new_layers``."""
-        layers = list(self.layers)
-        layers[index : index + 1] = list(new_layers)
-        return ModelSpec(layers, self.input_shape, name=self.name)
+        return self.replace_range(index, index + 1, new_layers)
 
     def replace_range(
         self, start: int, stop: int, new_layers: Sequence[LayerSpec]
     ) -> "ModelSpec":
+        """Return a new spec with ``layers[start:stop]`` replaced.
+
+        The layers before the replaced range keep their shapes; inference
+        runs from its first index onward.
+        """
         layers = list(self.layers)
         layers[start:stop] = list(new_layers)
-        return ModelSpec(layers, self.input_shape, name=self.name)
+        first = slice(start, stop).indices(len(self.layers))[0]
+        shapes = _infer_shapes(layers[first:], self._shapes[: first + 1])
+        return ModelSpec._derived(layers, shapes, self.name)
 
     def slice(self, start: int, stop: int, name: Optional[str] = None) -> "ModelSpec":
         """Sub-model covering layers [start, stop) with the right input shape.
@@ -430,10 +461,10 @@ class ModelSpec:
             raise ValueError(
                 f"slice [{start}:{stop}] out of range for {len(self.layers)} layers"
             )
-        return ModelSpec(
+        return ModelSpec._derived(
             self.layers[start:stop],
-            self._shapes[start],
-            name=name or f"{self.name}[{start}:{stop}]",
+            self._shapes[start : stop + 1],
+            name or f"{self.name}[{start}:{stop}]",
         )
 
     def concatenate(self, other: "ModelSpec", name: Optional[str] = None) -> "ModelSpec":
@@ -443,10 +474,10 @@ class ModelSpec:
                 f"cannot concatenate: output {self.output_shape} != "
                 f"input {other.input_shape}"
             )
-        return ModelSpec(
+        return ModelSpec._derived(
             self.layers + other.layers,
-            self.input_shape,
-            name=name or f"{self.name}+{other.name}",
+            self._shapes + other._shapes[1:],
+            name or f"{self.name}+{other.name}",
         )
 
     # -- (de)serialization ------------------------------------------------

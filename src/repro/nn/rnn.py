@@ -3,22 +3,26 @@
 The paper's partition/compression controllers (Fig. 6) are bidirectional
 LSTMs over per-layer hyperparameter encodings. REINFORCE gradients flow
 through them on the autodiff :class:`~repro.nn.tensor.Tensor` tape, but a
-whole direction's recurrence is one tape node, :func:`lstm_recurrence`,
-whose backward pass is a hand-written BPTT. That BPTT reproduces the
-per-step tape's gradients bit for bit (see its docstring), so seeded
-searches are unchanged by the fusion. :meth:`LSTMCell.forward_step` is the
-readable per-step reference.
+whole pass is one tape node, :func:`lstm_recurrence`: it runs D directions
+stacked on a leading axis (D = 2 for :class:`BiLSTM`, D = 1 for
+:class:`LSTM`), and its backward pass is a hand-written BPTT. That BPTT
+reproduces the per-step tape's gradients bit for bit by repeating the
+tape's expressions and accumulating each parameter's per-step terms in the
+tape's order: ``W_hh`` in ascending time, ``bias`` in BPTT order, in every
+direction (see its docstring). Seeded searches are therefore unchanged by
+the fusion. :meth:`LSTMCell.forward_step` is the readable per-step
+reference.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .init import xavier_uniform
 from .layers import Module
-from .tensor import Tensor, concatenate, sigmoid_array, zeros
+from .tensor import Tensor, sigmoid_array, zeros
 
 
 class LSTMCell(Module):
@@ -83,97 +87,138 @@ class LSTMCell(Module):
 
 
 def lstm_recurrence(
-    projected: Tensor,
-    weight_hh: Tensor,
-    bias: Tensor,
-    hidden_size: int,
-    reverse: bool = False,
+    projected: Sequence[Tensor],
+    weight_hh: Sequence[Tensor],
+    bias: Sequence[Tensor],
+    reverse: Sequence[bool],
 ) -> Tensor:
-    """One LSTM direction's whole recurrence as a single tape node.
+    """D LSTM directions' whole recurrences as a single tape node.
 
-    ``projected`` is the hoisted input projection ``x @ W_ih^T`` of shape
-    (N, T, 4*hidden); the result holds the hidden state of every step,
-    (N, T, hidden). ``reverse`` processes the steps from T-1 down to 0.
-    The forward pass runs in raw numpy and keeps each step's gate
-    activations; the node's backward closure runs BPTT over them.
+    Direction ``d`` has the hoisted input projection ``projected[d]``
+    (``x @ W_ih^T``, shape (N, T, 4*hidden)), its own ``weight_hh[d]`` and
+    ``bias[d]``, and processes the steps from T-1 down to 0 when
+    ``reverse[d]``. The result is the directions' hidden states of every
+    step joined on the last axis in direction order, (N, T, D*hidden).
+
+    All directions run stacked on a leading axis of size D: one step is a
+    single ``(D, N, hidden) @ (D, hidden, 4*hidden)`` matmul plus the gate
+    arithmetic, and the step loop keeps only the recurrence (gates, ``c``,
+    ``h``), writing each step's activations into (T, D, N, ...) buffers
+    indexed by processing step. The backward pass computes its step-free
+    terms over all T steps at once and loops only over ``dh``/``dc``; the
+    ``W_hh`` terms are then one batched matmul and the bias terms one sum.
 
     The BPTT is tape-exact: its gradients are bit-identical to those of
-    the same recurrence recorded step by step on the tape (a fresh
-    ``W_hh.T`` per step, four gate slices, ``sigmoid``/``tanh`` nodes).
-    Two things make it so:
+    each direction's recurrence recorded step by step on the tape (a fresh
+    ``W_hh.T`` per step, four gate slices, ``sigmoid``/``tanh`` nodes) and
+    the directions joined by ``concatenate``. Two things make it so:
 
     - every expression is the tape's own, e.g. the sigmoid grad
       ``grad * s * (1.0 - s)``, the tanh grad ``grad * (1.0 - t**2)``,
       ``dh_prev = dgates @ WT.swapaxes(-1, -2)`` and the ``W_hh`` term
-      ``(h_prev.swapaxes(-1, -2) @ dgates).transpose()``;
+      ``(h_prev.swapaxes(-1, -2) @ dgates).transpose()``; stacking and
+      batching change which arrays an operation sees, never the
+      operation each element goes through;
     - each parameter receives one ``_accumulate`` per step in the order
       the tape's topological sweep delivers them: the ``W_hh`` terms
       (including the all-zero one from the initial state) in ascending
       time index in both directions, the ``bias`` terms in BPTT order,
-      the reverse of processing order.
+      the reverse of processing order, in both directions. The
+      projections come first in the node's parents, in direction order,
+      so a shared input receives the directions' gradients in the order
+      ``concatenate`` would deliver them.
 
     Floating-point addition is not associative, so any other order
     drifts in the last bits and seeded searches would no longer replay.
     """
-    hs = hidden_size
-    xp = projected.data
-    b = bias.data
-    wt = weight_hh.data.transpose()
-    n, t, _ = xp.shape
-    h = np.zeros((n, hs))
-    c = np.zeros((n, hs))
-    saved: List[tuple] = []
-    outputs: List[np.ndarray] = []
-    for step in range(t - 1, -1, -1) if reverse else range(t):
-        gates = xp[:, step, :] + h @ wt
+    d = len(projected)
+    n, t, gate_size = projected[0].shape
+    hs = gate_size // 4
+    # (T, D, N, 4*hidden): each direction's inputs in its processing order.
+    xp = np.ascontiguousarray(
+        np.stack([p.data[:, ::-1] if r else p.data for p, r in zip(projected, reverse)])
+        .transpose(2, 0, 1, 3)
+    )
+    w = np.stack([wh.data for wh in weight_hh])  # (D, 4*hidden, hidden)
+    wt = w.swapaxes(-1, -2)
+    b = np.stack([bb.data for bb in bias])[:, None, :]
+    scale = np.empty((t, d, n, gate_size))
+    g = np.empty((t, d, n, hs))
+    tc = np.empty((t, d, n, hs))
+    # h[k + 1] and c[k + 1] are processing step k's state; index 0 is the
+    # all-zero initial state.
+    h = np.zeros((t + 1, d, n, hs))
+    c = np.zeros((t + 1, d, n, hs))
+    i, f, cell_slot, o = (scale[..., q * hs : (q + 1) * hs] for q in range(4))
+    for k in range(t):
+        gates = xp[k] + h[k] @ wt
         gates = gates + b
         # One sigmoid over all four slots; the cell slot is overwritten
-        # with 1.0 so ``scale`` below multiplies it through exactly.
-        scale = sigmoid_array(gates)
-        g = np.tanh(gates[:, 2 * hs : 3 * hs])
-        scale[:, 2 * hs : 3 * hs] = 1.0
-        i, f, o = scale[:, :hs], scale[:, hs : 2 * hs], scale[:, 3 * hs :]
-        c_new = f * c + i * g
-        tc = np.tanh(c_new)
-        slope = 1.0 - scale
-        slope[:, 2 * hs : 3 * hs] = 1.0 - g**2
-        partner = np.concatenate([g, c, i, tc], axis=1)
-        saved.append((step, h, f, o, 1.0 - tc**2, partner, scale, slope))
-        h, c = o * tc, c_new
-        outputs.append(h)
-    if reverse:
-        outputs.reverse()
+        # with 1.0 so ``scale`` multiplies it through exactly in backward.
+        scale[k] = sigmoid_array(gates)
+        np.tanh(gates[..., 2 * hs : 3 * hs], out=g[k])
+        cell_slot[k] = 1.0
+        np.add(f[k] * c[k], i[k] * g[k], out=c[k + 1])
+        np.tanh(c[k + 1], out=tc[k])
+        np.multiply(o[k], tc[k], out=h[k + 1])
+    out = np.empty((n, t, d * hs))
+    for j, r in enumerate(reverse):
+        hj = h[1:, j].swapaxes(0, 1)  # (N, T, hidden) in processing order
+        out[..., j * hs : (j + 1) * hs] = hj[:, ::-1] if r else hj
 
     def backward(grad: np.ndarray) -> None:
-        d_projected = np.zeros(xp.shape)
-        w_terms: List[np.ndarray] = []
-        b_terms: List[np.ndarray] = []
+        # (T, D, N, hidden): each direction's output grad in processing order.
+        dout = np.stack(
+            [
+                grad[:, ::-1, j * hs : (j + 1) * hs] if r else grad[..., j * hs : (j + 1) * hs]
+                for j, r in enumerate(reverse)
+            ]
+        ).transpose(2, 0, 1, 3)
+        # Per slot, ``partner * scale * slope`` is the tape's
+        # ``grad * s * (1.0 - s)`` with grad = dc*g, dc*c_prev, dh*tc for
+        # the i, f, o gates, and ``grad * (1.0 - g**2)`` with grad = dc*i
+        # for the cell gate.
+        slope = 1.0 - scale
+        slope[..., 2 * hs : 3 * hs] = 1.0 - g**2
+        partner = np.concatenate([g, c[:-1], i, tc], axis=-1)
+        tanh_slope = 1.0 - tc**2
+        dgates = np.empty((t, d, n, gate_size))
         dh_next: Optional[np.ndarray] = None
         dc_next: Optional[np.ndarray] = None
-        for step, h_prev, f, o, tanh_slope, partner, scale, slope in reversed(saved):
-            dh = grad[:, step, :] if dh_next is None else grad[:, step, :] + dh_next
-            dc = dh * o * tanh_slope
+        for k in range(t - 1, -1, -1):
+            dh = dout[k] if dh_next is None else dout[k] + dh_next
+            dc = dh * o[k] * tanh_slope[k]
             if dc_next is not None:
                 dc = dc + dc_next
-            # Per slot this is the tape's ``grad * s * (1.0 - s)`` with
-            # grad = dc*g, dc*c_prev, dh*tc for the i, f, o gates, and
-            # ``grad * (1.0 - g**2)`` with grad = dc*i for the cell gate.
-            dgates = np.concatenate([dc, dc, dc, dh], axis=1) * partner * scale * slope
-            d_projected[:, step, :] = dgates
-            w_terms.append((h_prev.swapaxes(-1, -2) @ dgates).transpose())
-            b_terms.append(dgates.sum(axis=0))
-            dh_next = dgates @ wt.swapaxes(-1, -2)
-            dc_next = dc * f
-        projected._accumulate(d_projected)
-        # w_terms and b_terms are in BPTT order; W_hh wants ascending time.
-        for term in w_terms if reverse else reversed(w_terms):
-            weight_hh._accumulate(term)
-        for term in b_terms:
-            bias._accumulate(term)
+            np.multiply(
+                np.concatenate([dc, dc, dc, dh], axis=-1) * partner[k] * scale[k],
+                slope[k],
+                out=dgates[k],
+            )
+            dh_next = dgates[k] @ w
+            dc_next = dc * f[k]
+        # (T, D, hidden, 4*hidden) and (T, D, 4*hidden), in processing order.
+        h_prev = h[:-1].swapaxes(-1, -2)
+        if n == 1:
+            # matmul takes one-row outer products through its non-BLAS
+            # loop, ``0.0 + a * b`` per element. einsum plus ``+= 0.0``
+            # (which turns -0.0 into 0.0) is the same bytes, several times
+            # faster.
+            w_terms = np.einsum("tdin,tdnj->tdij", h_prev, dgates)
+            w_terms += 0.0
+        else:
+            w_terms = h_prev @ dgates
+        b_terms = dgates.sum(axis=2)
+        backwards = range(t - 1, -1, -1)
+        for j, r in enumerate(reverse):
+            dp = dgates[:, j].swapaxes(0, 1)  # (N, T, 4*hidden) in processing order
+            projected[j]._accumulate(np.ascontiguousarray(dp[:, ::-1] if r else dp))
+            for k in backwards if r else range(t):  # ascending time
+                weight_hh[j]._accumulate(w_terms[k, j].transpose())
+            for k in backwards:  # BPTT order
+                bias[j]._accumulate(b_terms[k, j])
 
-    return Tensor._make(
-        np.stack(outputs, axis=1), (projected, weight_hh, bias), backward
-    )
+    return Tensor._make(out, (*projected, *weight_hh, *bias), backward)
 
 
 class LSTM(Module):
@@ -199,7 +244,7 @@ class LSTM(Module):
         """
         projected = x.matmul(self.cell.weight_ih.T)  # (N, T, 4*hidden)
         return lstm_recurrence(
-            projected, self.cell.weight_hh, self.cell.bias, self.hidden_size, reverse
+            [projected], [self.cell.weight_hh], [self.cell.bias], [reverse]
         )
 
 
@@ -225,7 +270,15 @@ class BiLSTM(Module):
         self.output_size = 2 * hidden_size
 
     def forward(self, x: Tensor) -> Tensor:
-        """(N, T, input_size) -> (N, T, 2*hidden_size)."""
-        fwd = self.forward_lstm(x)
-        bwd = self.backward_lstm(x, reverse=True)
-        return concatenate([fwd, bwd], axis=2)
+        """(N, T, input_size) -> (N, T, 2*hidden_size).
+
+        Both directions' input projections are hoisted onto the tape, then
+        both recurrences run stacked in one :func:`lstm_recurrence` node.
+        """
+        cells = (self.forward_lstm.cell, self.backward_lstm.cell)
+        return lstm_recurrence(
+            [x.matmul(cell.weight_ih.T) for cell in cells],
+            [cell.weight_hh for cell in cells],
+            [cell.bias for cell in cells],
+            [False, True],
+        )

@@ -19,6 +19,7 @@ from repro.model.spec import (
     max_pool,
     relu,
 )
+from repro.nn.zoo import get_model
 
 
 class TestLayerSpec:
@@ -241,3 +242,47 @@ def test_fingerprint_deterministic(layers):
         return
     assert a.fingerprint() == b.fingerprint()
 
+
+
+replacement_layers = st.lists(
+    st.one_of(conv_layers, st.just(relu()), st.just(max_pool(2)), st.just(flatten())),
+    max_size=3,
+)
+
+
+@given(
+    name=st.sampled_from(["vgg11", "alexnet", "tiny_cnn"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_derived_spec_shapes_equal_fresh_construction(name, data):
+    """``slice``, ``concatenate`` and ``replace_range``/``replace_layer``
+    reuse the shapes they already know; every shape must still equal that of
+    a spec built from scratch, and an invalid replacement must still raise."""
+    spec = get_model(name)
+    n = len(spec)
+    start = data.draw(st.integers(0, n), label="start")
+    stop = data.draw(st.integers(start, n), label="stop")
+    cut = data.draw(st.integers(start, stop), label="cut")
+    left, right = spec.slice(start, cut), spec.slice(cut, stop)
+    derived = [left, right, left.concatenate(right)]
+    index = data.draw(st.integers(-n, n - 1), label="index")
+    end = data.draw(st.integers(-n, n), label="end")
+    new_layers = data.draw(replacement_layers, label="new_layers")
+    for lo, hi, replace in (
+        (index, index + 1, lambda: spec.replace_layer(index, new_layers)),
+        (index, end, lambda: spec.replace_range(index, end, new_layers)),
+    ):
+        layers = list(spec.layers)
+        layers[lo:hi] = new_layers
+        try:
+            ModelSpec(layers, spec.input_shape)
+        except ValueError:
+            with pytest.raises(ValueError):
+                replace()
+            continue
+        derived.append(replace())
+        assert derived[-1].layers == tuple(layers)
+    for part in derived:
+        fresh = ModelSpec(part.layers, part.input_shape)
+        assert part._shapes == fresh._shapes

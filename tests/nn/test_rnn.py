@@ -11,7 +11,7 @@ from repro.experiments.common import ExperimentConfig, run_scenario
 from repro.network.scenarios import get_scenario
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiLSTM, LSTM, LSTMCell
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, concatenate, stack
 from tests import tape_heads
 
 
@@ -36,6 +36,17 @@ def tape_lstm_forward(self, x, reverse=False):
     if reverse:
         outputs.reverse()
     return stack(outputs, axis=1)
+
+
+def tape_bilstm_forward(self, x):
+    """Oracle: both directions stepped on the tape, joined by ``concatenate``.
+
+    This is ``BiLSTM.forward`` before its directions became one stacked
+    ``lstm_recurrence`` node: two ``LSTM`` passes and a concatenation.
+    """
+    fwd = tape_lstm_forward(self.forward_lstm, x)
+    bwd = tape_lstm_forward(self.backward_lstm, x, reverse=True)
+    return concatenate([fwd, bwd], axis=2)
 
 
 @pytest.fixture
@@ -101,7 +112,11 @@ class TestLSTM:
 
 
 class TestFusedRecurrence:
-    """``lstm_recurrence`` against the per-step tape, bit for bit."""
+    """``lstm_recurrence`` against the per-step tape, bit for bit.
+
+    ``LSTM`` is its one-direction case, ``BiLSTM`` its stacked
+    two-direction case; each is pinned against its own tape oracle.
+    """
 
     @staticmethod
     def _run(forward, seed, n, t, hidden, reverse, calls):
@@ -137,6 +152,59 @@ class TestFusedRecurrence:
         for expected, actual in zip(tape_grads, fused_grads):
             assert np.array_equal(expected, actual)
 
+    @staticmethod
+    def _run_bilstm(forward, seed, n, t, hidden, calls, preset):
+        rng = np.random.default_rng(seed)
+        bilstm = BiLSTM(5, hidden, rng=np.random.default_rng(seed + 1))
+        x = Tensor(rng.normal(size=(n, t, 5)), requires_grad=True)
+        params = list(bilstm.parameters())
+        outputs, loss = [], None
+        for _ in range(calls):
+            out = forward(bilstm, x)
+            outputs.append(out.data)
+            term = (out * Tensor(rng.normal(size=out.shape))).sum()
+            loss = term if loss is None else loss + term
+        if preset:
+            # Gradients already held before backward: each per-step term
+            # must be added onto them one at a time, in the tape's order.
+            for tensor in [x, *params]:
+                tensor.grad = rng.normal(size=tensor.shape)
+        loss.backward()
+        return outputs, [x.grad] + [p.grad for p in params]
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        t=st.integers(1, 12),
+        hidden=st.sampled_from([3, 32]),
+        calls=st.integers(1, 3),
+        preset=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_directions_equal_two_tapes(self, seed, n, t, hidden, calls, preset):
+        args = (seed, n, t, hidden, calls, preset)
+        tape_out, tape_grads = self._run_bilstm(tape_bilstm_forward, *args)
+        fused_out, fused_grads = self._run_bilstm(BiLSTM.forward, *args)
+        assert len(fused_grads) == 7  # x and six parameters
+        for expected, actual in zip(tape_out, fused_out):
+            assert np.array_equal(expected, actual)
+        for expected, actual in zip(tape_grads, fused_grads):
+            assert np.array_equal(expected, actual)
+
+    def test_single_node_per_bilstm_pass(self, rng):
+        bilstm = BiLSTM(4, 6, rng=rng)
+        x = Tensor(rng.normal(size=(2, 7, 4)))
+        out = bilstm(x)
+        cells = (bilstm.forward_lstm.cell, bilstm.backward_lstm.cell)
+        proj_f, proj_b, *recurrent = out._parents
+        assert recurrent == [
+            cells[0].weight_hh, cells[1].weight_hh, cells[0].bias, cells[1].bias
+        ]
+        for projection, cell in zip((proj_f, proj_b), cells):
+            assert projection.shape == (2, 7, 24)
+            assert projection._parents[0] is x
+            assert projection._parents[1]._parents == (cell.weight_ih,)
+
     def test_single_node_per_direction(self, rng):
         lstm = LSTM(4, 6, rng=rng)
         out = lstm(Tensor(rng.normal(size=(2, 7, 4))))
@@ -160,13 +228,19 @@ class TestFusedRecurrence:
     def test_search_trajectory_bytes_equal_tape(self, monkeypatch):
         """Every Adam step of a seeded scene sees byte-identical grads and
         leaves byte-identical params, fused or stepped on the tape: the
-        oracle also records the policy heads row by row and the REINFORCE
-        loss as a left-folded chain (``tests/tape_heads.py``)."""
+        oracle runs each BiLSTM direction step by step, joins them with
+        ``concatenate``, records the policy heads row by row and the
+        REINFORCE loss as a left-folded chain (``tests/tape_heads.py``)."""
         scene = get_scenario("vgg11", "phone", "4G (weak) indoor")
         config = ExperimentConfig(
             tree_episodes=2, branch_episodes=3, emulation_requests=10, seed=7
         )
         original_step = Adam.step
+        oracle_calls = []
+
+        def counted_oracle(self, x):
+            oracle_calls.append(x.shape)
+            return tape_bilstm_forward(self, x)
 
         def trajectory(forward, per_row_heads=False):
             digests = []
@@ -178,16 +252,17 @@ class TestFusedRecurrence:
                 digests.append(hashlib.sha256(b"".join(grads + params)).hexdigest())
 
             with monkeypatch.context() as patch:
-                patch.setattr(LSTM, "forward", forward)
+                patch.setattr(BiLSTM, "forward", forward)
                 patch.setattr(Adam, "step", recording_step)
                 if per_row_heads:
                     tape_heads.install(patch)
                 run_scenario(scene, config, run_field=False, run_emu=False)
             return digests
 
-        tape = trajectory(tape_lstm_forward, per_row_heads=True)
+        tape = trajectory(counted_oracle, per_row_heads=True)
         assert len(tape) > 10
-        assert trajectory(LSTM.forward) == tape
+        assert oracle_calls  # the oracle, not the fused node, ran
+        assert trajectory(BiLSTM.forward) == tape
 
 
 class TestBiLSTM:
