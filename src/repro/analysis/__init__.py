@@ -29,6 +29,7 @@ from .diagnostics import (
     raise_on_error,
 )
 from .verifier import (
+    compile_and_verify_tree,
     verify_bandwidth_types,
     verify_branch_plan,
     verify_candidate,
@@ -51,6 +52,7 @@ __all__ = [
     "raise_on_error",
     "detect_kind",
     "verify_artifact",
+    "compile_and_verify_tree",
     "verify_bandwidth_types",
     "verify_branch_plan",
     "verify_candidate",

@@ -27,7 +27,10 @@ Rule ids
 - ``tree-arity``       — tree structure violating the N-depth/K-fork
   contract (wrong child count, fork/block index mismatch, early leaf);
 - ``tree-path``        — a runtime-reachable root-to-terminal path that
-  does not compose into a valid model matching the base interface;
+  does not compose into a valid model matching the base interface. The
+  findings are the path faults of :func:`~repro.model.treepath.compile_tree`,
+  the one compiler the runtime also runs, so an admitted tree is a
+  compiled one;
 - ``memo-key``         — two distinct (edge, cloud, bandwidth) candidates
   that collide on the memoization-pool key. The pool keys on the exact
   bandwidth float (no rounding), so a collision can only come from a
@@ -46,6 +49,7 @@ from ..model.spec import (
     TensorShape,
     infer_output_shape,
 )
+from ..model.treepath import CompiledTree, compile_tree
 from .diagnostics import Diagnostic, Severity
 
 SpecLike = Union[ModelSpec, Mapping]
@@ -470,7 +474,7 @@ def verify_bandwidth_types(
 # ---------------------------------------------------------------------------
 @dataclass
 class _NodeView:
-    """Duck-typed node: adapts both TreeNode objects and serialized dicts."""
+    """A serialized node, shaped like a ``TreeNode`` for the tree rules."""
 
     block_index: int
     fork_index: Optional[int]
@@ -479,18 +483,6 @@ class _NodeView:
     cloud_spec: Optional[ModelSpec]
     partitioned: bool
     children: List["_NodeView"] = field(default_factory=list)
-
-
-def _view_from_node(node) -> _NodeView:
-    return _NodeView(
-        block_index=node.block_index,
-        fork_index=node.fork_index,
-        bandwidth_mbps=node.bandwidth_mbps,
-        edge_spec=node.edge_spec,
-        cloud_spec=node.cloud_spec,
-        partitioned=node.partitioned,
-        children=[_view_from_node(child) for child in node.children],
-    )
 
 
 def _view_from_dict(
@@ -509,6 +501,10 @@ def _view_from_dict(
             _diag("artifact-format", Severity.ERROR, location, f"malformed node: {exc}")
         )
         return None
+    if not isinstance(raw_children, (list, tuple)):
+        message = f"'children' must be a list, got {type(raw_children).__name__}"
+        diagnostics.append(_diag("artifact-format", Severity.ERROR, location, message))
+        return None
     edge = _coerce_spec(raw_edge, f"{location} edge", diagnostics)
     cloud = _coerce_spec(raw_cloud, f"{location} cloud", diagnostics)
     children: List[_NodeView] = []
@@ -526,11 +522,6 @@ def _view_from_dict(
         partitioned=partitioned,
         children=children,
     )
-
-
-def _path_location(path: Sequence[_NodeView]) -> str:
-    forks = [str(node.fork_index) for node in path[1:]]
-    return "path root" + ("" if not forks else ">" + ">".join(forks))
 
 
 def _verify_tree_structure(
@@ -613,91 +604,6 @@ def _verify_tree_structure(
     return diagnostics
 
 
-def _verify_tree_paths(
-    root: _NodeView, base: ModelSpec
-) -> Tuple[List[Diagnostic], List[Tuple[Optional[ModelSpec], Optional[ModelSpec], float]]]:
-    """Compose every root-to-terminal path and check its shape flow.
-
-    Returns (diagnostics, candidates): the composed (edge, cloud, bandwidth)
-    triple of each path that composed cleanly — the corpus for the
-    memoization-key integrity check.
-    """
-    diagnostics: List[Diagnostic] = []
-    candidates: List[Tuple[Optional[ModelSpec], Optional[ModelSpec], float]] = []
-
-    def walk(node: _NodeView, path: List[_NodeView], edge: Optional[ModelSpec]) -> None:
-        path = path + [node]
-        where = _path_location(path)
-        if node.edge_spec is not None and len(node.edge_spec):
-            expected = edge.output_shape if edge is not None else base.input_shape
-            if node.edge_spec.input_shape != expected:
-                diagnostics.append(
-                    _diag(
-                        "tree-path",
-                        Severity.ERROR,
-                        where,
-                        f"block {node.block_index} edge input "
-                        f"{node.edge_spec.input_shape} does not continue the "
-                        f"path (expected {expected})",
-                        hint="consecutive edge blocks must chain shapes",
-                    )
-                )
-                # The downstream shapes of this subtree are unknowable.
-                return
-            edge = (
-                node.edge_spec if edge is None else edge.concatenate(node.edge_spec)
-            )
-        if not node.partitioned and node.children:
-            for child in node.children:
-                walk(child, path, edge)
-            return
-        cloud = (
-            node.cloud_spec
-            if node.cloud_spec is not None and len(node.cloud_spec)
-            else None
-        )
-        if edge is None and cloud is None:
-            diagnostics.append(
-                _diag(
-                    "tree-path",
-                    Severity.ERROR,
-                    where,
-                    "terminal path composes to an empty model",
-                )
-            )
-            return
-        if cloud is not None:
-            boundary = edge.output_shape if edge is not None else base.input_shape
-            if cloud.input_shape != boundary:
-                diagnostics.append(
-                    _diag(
-                        "tree-path",
-                        Severity.ERROR,
-                        where,
-                        f"cloud input {cloud.input_shape} does not match the "
-                        f"edge output {boundary} at the partition boundary",
-                    )
-                )
-                return
-        final = cloud.output_shape if cloud is not None else edge.output_shape  # type: ignore[union-attr]
-        if final != base.output_shape:
-            diagnostics.append(
-                _diag(
-                    "tree-path",
-                    Severity.ERROR,
-                    where,
-                    f"path output {final} does not match base output "
-                    f"{base.output_shape}",
-                    hint="every runtime-reachable path must keep the base interface",
-                )
-            )
-            return
-        candidates.append((edge, cloud, node.bandwidth_mbps))
-
-    walk(root, [], None)
-    return diagnostics, candidates
-
-
 def verify_memo_keys(
     candidates: Sequence[Tuple[Optional[ModelSpec], Optional[ModelSpec], float]],
     location: str = "memo pool",
@@ -741,12 +647,14 @@ def verify_memo_keys(
     return diagnostics
 
 
-def verify_tree(tree) -> List[Diagnostic]:
+def compile_and_verify_tree(tree) -> Tuple[Optional[CompiledTree], List[Diagnostic]]:
     """Verify a model tree (a ``ModelTree`` or its serialized dict).
 
-    Runs every tree rule: fork coverage of the bandwidth types, the
-    N-depth/K-fork structure contract, shape-flow of every runtime-reachable
-    path, and memoization-key integrity over the path corpus.
+    Runs every tree rule: fork coverage, the N-depth/K-fork structure
+    contract, then one :func:`~repro.model.treepath.compile_tree`, whose
+    path faults are the ``tree-path`` findings and whose sound leaves are
+    the memo-key corpus. Returns (the records, or None when the tree is
+    too malformed to compile; the findings).
     """
     diagnostics: List[Diagnostic] = []
     if isinstance(tree, Mapping):
@@ -760,7 +668,7 @@ def verify_tree(tree) -> List[Diagnostic]:
                     f"unsupported tree format: {fmt!r}",
                 )
             )
-            return diagnostics
+            return None, diagnostics
         try:
             raw_types = [float(t) for t in tree["bandwidth_types"]]
             num_blocks = int(tree["num_blocks"])
@@ -770,7 +678,11 @@ def verify_tree(tree) -> List[Diagnostic]:
             diagnostics.append(
                 _diag("artifact-format", Severity.ERROR, "tree", f"malformed tree: {exc}")
             )
-            return diagnostics
+            return None, diagnostics
+        if raw_base is None:
+            diagnostics.append(
+                _diag("artifact-format", Severity.ERROR, "base", "tree has no base model")
+            )
         base = _coerce_spec(raw_base, "base", diagnostics)
         root = _view_from_dict(raw_root, "node root", diagnostics)
         types = raw_types
@@ -778,13 +690,27 @@ def verify_tree(tree) -> List[Diagnostic]:
         base = tree.base
         types = list(tree.bandwidth_types)
         num_blocks = tree.num_blocks
-        root = _view_from_node(tree.root)
+        root = tree.root
 
     diagnostics += verify_bandwidth_types(types)
     if root is None or base is None:
-        return diagnostics
+        return None, diagnostics
     diagnostics += _verify_tree_structure(root, num_blocks, len(types))
-    path_diags, candidates = _verify_tree_paths(root, base)
-    diagnostics += path_diags
-    diagnostics += verify_memo_keys(candidates)
-    return diagnostics
+    compiled = compile_tree(root, base)
+    diagnostics += [
+        _diag("tree-path", Severity.ERROR, fault.location, fault.message, fault.hint)
+        for fault in compiled.faults
+    ]
+    diagnostics += verify_memo_keys(
+        [
+            (leaf.edge_spec, leaf.cloud_spec, leaf.bandwidth_mbps)
+            for leaf in compiled.leaves
+            if leaf.sound
+        ]
+    )
+    return compiled, diagnostics
+
+
+def verify_tree(tree) -> List[Diagnostic]:
+    """Verify a model tree (a ``ModelTree`` or its serialized dict)."""
+    return compile_and_verify_tree(tree)[1]

@@ -132,7 +132,6 @@ def run_emulation(
     spacing_ms: float = 0.0,
     queued: bool = False,
     pipelined: bool = False,
-    admit: bool = True,
     slo: Optional[SLOPolicy] = None,
 ) -> EmulationResult:
     """Issue ``num_requests`` inferences at times spread across the trace.
@@ -154,8 +153,8 @@ def run_emulation(
     throughput advantage — a partitioned plan can sustain frame rates a
     full-on-device plan cannot, even at similar per-request latency.
 
-    ``admit=True`` (the default) statically verifies the plan with
-    :func:`~repro.runtime.engine.admit_plan` before the first request.
+    The plan is admitted (:func:`~repro.runtime.engine.admit_plan`)
+    before the first request: a malformed one raises ``VerificationError``.
 
     ``slo`` attaches a burn-rate evaluator: every request's simulated
     completion feeds the fast/slow windows, alert transitions land in
@@ -164,8 +163,7 @@ def run_emulation(
     require_non_negative(spacing_ms, "spacing_ms")
     if num_requests < 1:
         raise ValueError("num_requests must be >= 1")
-    if admit:
-        admit_plan(plan)
+    admit_plan(plan)
     rng = np.random.default_rng(seed)
     result = EmulationResult()
     duration_ms = env.trace.duration_s * 1e3

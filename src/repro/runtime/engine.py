@@ -9,12 +9,14 @@ Two kinds of plan exist at runtime:
   that child — possibly deciding mid-inference to ship the rest to the
   cloud (Alg. 2 / Sec. IV Overview).
 
-Everything fixed once a plan is deployed is compiled on its first
-``execute``: each block's non-empty edge spec, and per terminal the
-composed edge prefix, the cloud spec, the payload bytes and the full
-spec. A fixed plan compiles to a one-leaf tree, so both plans run one
-walk, :func:`_walk`, which per request only draws noise, probes, matches
-forks, resolves the offload and builds the outcome.
+Everything fixed once a plan is deployed is compiled once by
+:mod:`repro.model.treepath`: each block's non-empty edge spec, and per
+terminal the composed edge prefix, the cloud spec, the payload bytes and
+the full spec. :func:`admit_plan` verifies a tree plan from those same
+records and keeps them on the plan; a plan never admitted compiles on
+its first ``execute``. A fixed plan compiles to a one-leaf tree, so both
+plans run one walk, :func:`_walk`, which per request only draws noise,
+probes, matches forks, resolves the offload and builds the outcome.
 
 Plans are executed against a :class:`RuntimeEnvironment` that owns the
 bandwidth trace, the transfer channel, the device profiles, and the
@@ -26,19 +28,21 @@ effect the paper's introduction motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from ..accuracy.base import AccuracyEvaluator
+from ..analysis import compile_and_verify_tree, raise_on_error, verify_fixed_plan
 from ..contracts import require_non_negative
 from ..latency.devices import DeviceProfile
 from ..mdp.reward import RewardConfig
 from ..model.spec import ModelSpec
+from ..model.treepath import CompiledTree, PathNode, compile_split, compile_tree
 from ..network.channel import Channel, TransferAttempt
 from ..network.traces import BandwidthTrace
 from ..search.compose import match_fork
-from ..search.tree import ModelTree, TreeNode
+from ..search.tree import ModelTree
 from .resilience import CircuitBreaker, OffloadPolicy, resolve_offload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -175,62 +179,20 @@ def admit_plan(plan: "InferencePlan", base: Optional[ModelSpec] = None) -> None:
     Admission-time rejection (``VerificationError``) beats discovering a
     malformed split mid-inference: every :class:`FixedPlan` boundary and
     every runtime-reachable tree path is checked without running anything.
-    Plans of unknown types pass through (the Protocol is open).
+    A tree plan keeps the records its verification compiled, so it never
+    compiles again. Plans of unknown types pass through (the Protocol is
+    open).
     """
-    from ..analysis import raise_on_error, verify_fixed_plan, verify_tree
-
     if isinstance(plan, FixedPlan):
         raise_on_error(verify_fixed_plan(plan, base=base), context="fixed plan")
     elif isinstance(plan, TreePlan):
-        raise_on_error(verify_tree(plan.tree), context="tree plan")
-
-
-def _nonempty(spec: Optional[ModelSpec]) -> Optional[ModelSpec]:
-    return spec if spec is not None and len(spec) else None
-
-
-class _Leaf(NamedTuple):
-    """A terminal's request-invariant facts, composed once per plan."""
-
-    edge_spec: Optional[ModelSpec]  # the walked edge prefix, None if empty
-    cloud_spec: Optional[ModelSpec]  # None when nothing offloads
-    payload_bytes: float  # the edge output, or the raw cloud input
-    full_spec: ModelSpec  # what the accuracy evaluator scores
-
-
-class _Node(NamedTuple):
-    """One compiled block: its non-empty edge spec and its fork children."""
-
-    edge_spec: Optional[ModelSpec]
-    children: Tuple["_Node", ...]
-    leaf: Optional[_Leaf]  # set exactly on terminals
-
-
-def _leaf(edge_spec: Optional[ModelSpec], cloud_spec: Optional[ModelSpec]) -> _Leaf:
-    cloud_spec = _nonempty(cloud_spec)
-    if edge_spec is None and cloud_spec is None:
-        raise ValueError("plan has neither edge nor cloud model")
-    if cloud_spec is None:
-        return _Leaf(edge_spec, None, 0.0, edge_spec)
-    if edge_spec is None:
-        return _Leaf(None, cloud_spec, cloud_spec.input_shape.num_bytes, cloud_spec)
-    full = edge_spec.concatenate(cloud_spec, name="composed")
-    return _Leaf(edge_spec, cloud_spec, edge_spec.output_shape.num_bytes, full)
-
-
-def _compile_node(node: TreeNode, prefix: Optional[ModelSpec] = None) -> _Node:
-    """Compile ``node``'s subtree; ``prefix`` is the edge walked above it."""
-    edge_spec = _nonempty(node.edge_spec)
-    if edge_spec is not None:
-        prefix = edge_spec if prefix is None else prefix.concatenate(edge_spec)
-    if node.partitioned or not node.children:
-        return _Node(edge_spec, (), _leaf(prefix, node.cloud_spec))
-    children = tuple(_compile_node(child, prefix) for child in node.children)
-    return _Node(edge_spec, children, None)
+        compiled, diagnostics = compile_and_verify_tree(plan.tree)
+        raise_on_error(diagnostics, context="tree plan")
+        plan.load(compiled)
 
 
 def _walk(
-    root: _Node,
+    root: PathNode,
     bandwidth_types: Tuple[float, ...],
     policy: Optional[OffloadPolicy],
     breaker: Optional[CircuitBreaker],
@@ -302,16 +264,14 @@ class FixedPlan:
     cloud_spec: Optional[ModelSpec]
     policy: Optional[OffloadPolicy] = None
     breaker: Optional[CircuitBreaker] = field(default=None, compare=False)
-    _root: Optional[_Node] = field(default=None, init=False, compare=False, repr=False)
+    _root: Optional[PathNode] = field(default=None, init=False, compare=False, repr=False)
 
     def execute(
         self, start_ms: float, env: RuntimeEnvironment, rng: np.random.Generator
     ) -> InferenceOutcome:
         require_non_negative(start_ms, "start_ms")
         if self._root is None:
-            edge_spec = _nonempty(self.edge_spec)
-            root = _Node(edge_spec, (), _leaf(edge_spec, self.cloud_spec))
-            object.__setattr__(self, "_root", root)
+            object.__setattr__(self, "_root", compile_split(self.edge_spec, self.cloud_spec))
         return _walk(self._root, (), self.policy, self.breaker, start_ms, env, rng)
 
 
@@ -321,25 +281,44 @@ class TreePlan:
 
     Shares :func:`~repro.runtime.resilience.resolve_offload` with
     :class:`FixedPlan`, so the same retry/breaker/deadline semantics apply
-    once the walk commits to a partitioned terminal. The first ``execute``
-    compiles the tree (every leaf's composed spec and payload), so later
-    changes to the tree's nodes do not reach an executed plan.
+    once the walk commits to a partitioned terminal. The plan runs the
+    records of :func:`~repro.model.treepath.compile_tree`: the ones
+    admission verified, or, for a plan never admitted, the ones its first
+    ``execute`` compiles. Later changes to the tree's nodes do not reach a
+    compiled plan.
     """
 
     tree: ModelTree
     policy: Optional[OffloadPolicy] = None
     breaker: Optional[CircuitBreaker] = field(default=None, compare=False)
-    _root: Optional[_Node] = field(default=None, init=False, compare=False, repr=False)
+    _compiled: Optional[CompiledTree] = field(
+        default=None, init=False, compare=False, repr=False
+    )
     _types: Tuple[float, ...] = field(default=(), init=False, compare=False, repr=False)
+
+    def load(self, compiled: CompiledTree) -> None:
+        """Run ``compiled`` (this plan's tree, compiled) from now on."""
+        object.__setattr__(self, "_compiled", compiled)
+        types = tuple(float(t) for t in self.tree.bandwidth_types)
+        object.__setattr__(self, "_types", types)
+
+    def compiled(self) -> CompiledTree:
+        """The plan's records, compiled on first use.
+
+        Raises ``ValueError`` when some path cannot compose at all; a path
+        that misses the base interface still runs (admission rejects it).
+        """
+        if self._compiled is None:
+            self.load(compile_tree(self.tree.root, self.tree.base))
+        return self._compiled.runnable()
 
     def execute(
         self, start_ms: float, env: RuntimeEnvironment, rng: np.random.Generator
     ) -> InferenceOutcome:
         require_non_negative(start_ms, "start_ms")
-        if self._root is None:
-            object.__setattr__(self, "_root", _compile_node(self.tree.root))
-            types = tuple(float(t) for t in self.tree.bandwidth_types)
-            object.__setattr__(self, "_types", types)
+        compiled = self._compiled
+        if compiled is None or compiled.root is None:
+            compiled = self.compiled()
         return _walk(
-            self._root, self._types, self.policy, self.breaker, start_ms, env, rng
+            compiled.root, self._types, self.policy, self.breaker, start_ms, env, rng
         )

@@ -29,7 +29,7 @@ from ..perf import HistogramStat
 from ..search.tree import ModelTree
 from .adaptation import QuantileForkMatcher, adaptive_probe
 from .emulator import EmulationResult, device_only, record_completion, record_fault, serve_request
-from .engine import InferenceOutcome, RuntimeEnvironment, TreePlan
+from .engine import InferenceOutcome, RuntimeEnvironment, TreePlan, admit_plan
 from .faults import FaultError
 from .resilience import CircuitBreaker, OffloadPolicy
 
@@ -79,18 +79,10 @@ class InferenceSession:
         predictor: Optional[BandwidthPredictor] = None,
         fork_matcher: Optional[QuantileForkMatcher] = None,
         seed: int = 0,
-        verify: bool = True,
         policy: Optional[OffloadPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         slo: Optional[SLOPolicy] = None,
     ) -> None:
-        if verify:
-            # Admission-time static check: a malformed tree is rejected
-            # here, not discovered when some bandwidth finally reaches the
-            # broken fork mid-inference.
-            from ..analysis import raise_on_error, verify_tree
-
-            raise_on_error(verify_tree(tree), context="inference session tree")
         self.tree = tree
         self.env = env
         #: The degraded-retry environment after an absorbed fault.
@@ -123,6 +115,10 @@ class InferenceSession:
                 breaker = CircuitBreaker()
         self.breaker = breaker
         self._plan = TreePlan(tree, policy=self.policy, breaker=self.breaker)
+        # Admission: a malformed tree is rejected here, not discovered
+        # when some bandwidth finally reaches the broken fork
+        # mid-inference; the records it verified are the ones served.
+        admit_plan(self._plan)
 
     def infer(self, at_ms: Optional[float] = None) -> InferenceOutcome:
         """Run one inference; returns its outcome and advances the clock.
@@ -242,6 +238,6 @@ class InferenceSession:
                 )
             else:
                 self.breaker = CircuitBreaker(self.breaker.config)
-            self._plan = TreePlan(
-                self.tree, policy=self.policy, breaker=self.breaker
-            )
+            plan = TreePlan(self.tree, policy=self.policy, breaker=self.breaker)
+            plan.load(self._plan.compiled())
+            self._plan = plan

@@ -4,56 +4,43 @@ Starting at the root, the decision engine concatenates the root block, then
 repeatedly measures the current bandwidth, matches it to the k-th fork, and
 concatenates the k-th child block — until it reaches a childless node (fully
 on-edge model) or a partitioned node (remaining computation ships to the
-cloud).
+cloud). The concatenation is done once per tree, by
+:func:`~repro.model.treepath.compile_tree`; the walk here follows its
+records, as the runtime engine does per request.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..contracts import require_positive
 from ..model.spec import ModelSpec
+from ..model.treepath import compile_tree
 from ..perf import get_registry
-from .composer import SpecComposer
 from .tree import ModelTree, TreeNode
 
-#: Called before each block with the block index; returns measured Mbps.
+#: Called before each fork with the index of the block it picks (the walk's
+#: depth + 1, the block index in a well-formed tree); returns measured Mbps.
 BandwidthProbe = Callable[[int], float]
 
 
 @dataclass(frozen=True)
 class ComposedModel:
-    """The result of one Alg. 2 walk."""
+    """The result of one Alg. 2 walk: the compiled leaf it reached."""
 
     path: Tuple[TreeNode, ...]
     edge_spec: Optional[ModelSpec]
-    cloud_spec: Optional[ModelSpec]
+    cloud_spec: Optional[ModelSpec]  # None when nothing offloads
     measured_bandwidths: Tuple[float, ...]
+    _full_spec: ModelSpec = field(repr=False)
 
     @property
     def offloads(self) -> bool:
-        return self.cloud_spec is not None and len(self.cloud_spec) > 0
+        return self.cloud_spec is not None
 
     def full_spec(self) -> ModelSpec:
-        if self.edge_spec is None or not len(self.edge_spec):
-            assert self.cloud_spec is not None
-            return self.cloud_spec
-        if self.cloud_spec is None or not len(self.cloud_spec):
-            return self.edge_spec
-        return self.edge_spec.concatenate(self.cloud_spec, name="composed")
-
-    def fingerprint(self) -> str:
-        """Stable identity of the composition — ``edge:cloud`` fingerprints.
-
-        Built from the parts' *cached* fingerprints (never the concatenated
-        spec), so identifying a walk's outcome — e.g. deduplicating across
-        requests or keying a downstream cache — costs two dict reads
-        instead of a fresh serialization of the full model.
-        """
-        edge = self.edge_spec.fingerprint() if self.edge_spec is not None else ""
-        cloud = self.cloud_spec.fingerprint() if self.cloud_spec is not None else ""
-        return f"{edge}:{cloud}"
+        return self._full_spec
 
 
 def match_fork(bandwidth_mbps: float, bandwidth_types: Sequence[float]) -> int:
@@ -73,45 +60,21 @@ def match_fork(bandwidth_mbps: float, bandwidth_types: Sequence[float]) -> int:
     return best
 
 
-def compose_from_tree(
-    tree: ModelTree,
-    probe: BandwidthProbe,
-    composer: Optional[SpecComposer] = None,
-) -> ComposedModel:
+def compose_from_tree(tree: ModelTree, probe: BandwidthProbe) -> ComposedModel:
     """Algorithm 2: grow a model from the tree, fork by measured bandwidth.
 
-    ``composer`` (optional) caches the edge-prefix concatenation by the
-    parts' fingerprints, so repeated walks down the same path reuse one
-    composed spec. The runtime engine walks a compiled copy of the tree
-    instead (:mod:`repro.runtime.engine`) and shares :func:`match_fork`.
+    Follows the tree's compiled records, so it raises ``ValueError`` where
+    executing the tree would: on a path that cannot compose at all.
     """
     get_registry().count("compose.walks")
-    node = tree.root
-    path: List[TreeNode] = [node]
+    node = compile_tree(tree.root, tree.base).runnable().root
     measured: List[float] = []
-    edge_parts: List[ModelSpec] = []
-
-    while True:
-        if node.edge_spec is not None and len(node.edge_spec):
-            edge_parts.append(node.edge_spec)
-        if node.partitioned or not node.children:
-            if composer is not None:
-                edge_spec = composer.concat(edge_parts)
-            else:
-                edge_spec = None
-                for part in edge_parts:
-                    edge_spec = (
-                        part if edge_spec is None else edge_spec.concatenate(part)
-                    )
-            return ComposedModel(
-                path=tuple(path),
-                edge_spec=edge_spec,
-                cloud_spec=node.cloud_spec,
-                measured_bandwidths=tuple(measured),
-            )
-        bandwidth = probe(node.block_index + 1)
+    while node.leaf is None:
+        bandwidth = probe(len(measured) + 1)
         measured.append(bandwidth)
         fork = match_fork(bandwidth, tree.bandwidth_types)
-        fork = min(fork, len(node.children) - 1)
-        node = node.children[fork]
-        path.append(node)
+        node = node.children[min(fork, len(node.children) - 1)]
+    leaf = node.leaf
+    return ComposedModel(
+        leaf.path, leaf.edge_spec, leaf.cloud_spec, tuple(measured), leaf.full_spec
+    )

@@ -202,35 +202,17 @@ class TreeSearchResult:
 # Shared helpers
 # ---------------------------------------------------------------------------
 def _compose_prefix(
-    prefix: Sequence[TreeNode], composer: Optional[SpecComposer] = None
+    prefix: Sequence[TreeNode], composer: SpecComposer
 ) -> Optional[ModelSpec]:
     """Concatenate the edge parts of a path's blocks (composer-cached)."""
-    parts = [node.edge_spec for node in prefix]
-    if composer is not None:
-        return composer.concat(parts)
-    spec: Optional[ModelSpec] = None
-    for part in parts:
-        if part is None or not len(part):
-            continue
-        spec = part if spec is None else spec.concatenate(part)
-    return spec
+    return composer.concat([node.edge_spec for node in prefix])
 
 
 def _cloud_suffix(
-    blocks: Sequence[BlockSpec],
-    start_block: int,
-    composer: Optional[SpecComposer] = None,
+    blocks: Sequence[BlockSpec], start_block: int, composer: SpecComposer
 ) -> Optional[ModelSpec]:
     """The base-model remainder from ``start_block`` on (inherited, uncompressed)."""
-    if start_block >= len(blocks):
-        return None
-    parts = [block.model for block in blocks[start_block:]]
-    if composer is not None:
-        return composer.concat(parts)
-    spec = parts[0]
-    for part in parts[1:]:
-        spec = spec.concatenate(part)
-    return spec
+    return composer.concat([block.model for block in blocks[start_block:]])
 
 
 @dataclass(frozen=True)

@@ -90,28 +90,12 @@ class TestAdmission:
         with pytest.raises(VerificationError):
             run_emulation(plan, make_env(), num_requests=2)
 
-    def test_run_emulation_admit_opt_out(self, small_spec):
-        # admit=False restores the pre-verifier behaviour: the broken plan
-        # is not rejected up front, it fails deep inside execution with an
-        # unstructured error — exactly what admission exists to prevent.
-        plan = FixedPlan(small_spec.slice(0, 3), small_spec.slice(5, len(small_spec)))
-        with pytest.raises(ValueError) as excinfo:
-            run_emulation(plan, make_env(), num_requests=2, admit=False)
-        assert not isinstance(excinfo.value, VerificationError)
-
     def test_session_rejects_tampered_tree(self, trained):
         _, result = trained
         broken = copy.deepcopy(result.tree)
         broken.root.children = broken.root.children[:1]  # tree-arity violation
         with pytest.raises(VerificationError):
             InferenceSession(broken, make_env())
-
-    def test_session_verify_opt_out(self, trained):
-        _, result = trained
-        broken = copy.deepcopy(result.tree)
-        broken.root.children = broken.root.children[:1]
-        session = InferenceSession(broken, make_env(), verify=False)
-        assert session.infer() is not None
 
 
 def make_debug_context(context):

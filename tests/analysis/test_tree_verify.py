@@ -2,9 +2,17 @@
 
 import json
 
-from repro.analysis import Severity, detect_kind, verify_artifact, verify_tree
+import pytest
+
+from repro.analysis import (
+    Severity,
+    VerificationError,
+    detect_kind,
+    verify_artifact,
+    verify_tree,
+)
 from repro.analysis.__main__ import main as analysis_main
-from repro.search.serialize import plan_to_dict, tree_to_dict
+from repro.search.serialize import load_tree, plan_to_dict, tree_to_dict
 from repro.runtime.engine import FixedPlan
 
 
@@ -92,6 +100,39 @@ class TestCorruptedTree:
     def test_tree_path_on_tampered_edge_channels(self, tree_dict):
         tamper_last_shape_layer(tree_dict)
         assert "tree-path" in error_rules(verify_tree(tree_dict))
+
+    @pytest.mark.parametrize("children", [None, 3, "abc"])
+    def test_non_list_children_are_artifact_format(self, tree_dict, children):
+        tree_dict["root"]["children"][1]["children"] = children
+        diags = verify_tree(tree_dict)
+        assert error_rules(diags) == {"artifact-format"}
+        assert [d.location for d in diags] == ["node root>1"]
+
+    def test_missing_base_is_artifact_format(self, tree_dict):
+        tree_dict["base"] = None
+        diags = verify_tree(tree_dict)
+        assert error_rules(diags) == {"artifact-format"}
+        assert [(d.location, d.message) for d in diags] == [
+            ("base", "tree has no base model")
+        ]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.update(base=None),
+            lambda data: data["root"].update(children=None),
+        ],
+    )
+    def test_loaders_and_cli_reject_without_a_traceback(
+        self, tree_dict, corrupt, tmp_path, capsys
+    ):
+        corrupt(tree_dict)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(tree_dict))
+        with pytest.raises(VerificationError):
+            load_tree(path)
+        assert analysis_main([str(path)]) == 1
+        assert "artifact-format" in capsys.readouterr().out
 
 
 class TestArtifactDispatch:

@@ -18,8 +18,9 @@ from repro.runtime.emulator import run_emulation
 from repro.runtime.engine import FixedPlan, RuntimeEnvironment, TreePlan
 from repro.runtime.field import FieldConditions, fieldify, make_compute_noise
 from repro.search.compose import compose_from_tree
-from repro.search.tree import ModelTree, TreeNode, TreeSearchConfig, model_tree_search
-from tests.conftest import make_context, make_split_tree
+from repro.search.tree import ModelTree, TreeSearchConfig, model_tree_search
+from tests import tree_paths
+from tests.conftest import make_context, make_split_tree, tree_shapes
 
 
 def make_env(context, trace):
@@ -121,38 +122,11 @@ def _fingerprint(spec):
     return spec.fingerprint() if spec is not None and len(spec) else None
 
 
-@st.composite
-def _trees(draw):
-    """Random model trees over ``TINY``: unbalanced (fewer children than
-    types), grafted flags, empty or missing edge blocks, partitioned
-    nodes that still carry children, and K = 1."""
-    k = draw(st.integers(1, 3))
-    types = draw(st.lists(st.floats(0.5, 50.0), min_size=k, max_size=k, unique=True))
-    end = len(TINY)
-
-    def node(block, start, fork, depth):
-        stop = draw(st.integers(max(start, 1), end))
-        edge = TINY.slice(start, stop)
-        if not len(edge) and draw(st.booleans()):
-            edge = None
-        partitioned = draw(st.integers(0, 3)) == 0
-        children = []
-        if depth and draw(st.integers(0, 3)):
-            count = draw(st.integers(1, len(types)))
-            children = [node(block + 1, stop, i, depth - 1) for i in range(count)]
-        return TreeNode(
-            block_index=block,
-            fork_index=fork,
-            bandwidth_mbps=1.0,
-            edge_spec=edge,
-            cloud_spec=TINY.slice(stop, end) if partitioned else None,
-            partitioned=partitioned,
-            children=children,
-            grafted=draw(st.booleans()),
-        )
-
-    root = node(0, 0, None, 3)
-    return ModelTree(root=root, bandwidth_types=types, base=TINY, num_blocks=4)
+def _trees():
+    """Random model trees over ``TINY`` (see ``build_tree_shape``); many
+    miss the base interface or the N-depth/K-fork contract, which only
+    admission rejects, so the walk runs them all."""
+    return tree_shapes(TINY)
 
 
 class TestCompiledWalk:
@@ -163,19 +137,19 @@ class TestCompiledWalk:
         ties = [(a + b) / 2 for a, b in itertools.combinations(types, 2)]
         probe = st.one_of(st.floats(0.1, 100.0), st.sampled_from(types + ties))
         probes = data.draw(st.lists(probe, min_size=1, max_size=12))
-        walked, composed = itertools.cycle(probes), itertools.cycle(probes)
+        walked, composed, ours = (itertools.cycle(probes) for _ in range(3))
         env = make_env(TINY_CONTEXT, constant_trace(10.0))
         env.bandwidth_probe_noise = lambda true_mbps, t_ms, rng: next(walked)
         plan = TreePlan(tree)
         for request in range(3):
             outcome = plan.execute(100.0 * request, env, np.random.default_rng(0))
-            expected = compose_from_tree(tree, lambda block: next(composed))
+            expected = tree_paths.compose_from_tree(tree, lambda block: next(composed))
             forks = tuple(
                 next(i for i, c in enumerate(parent.children) if c is child)
                 for parent, child in zip(expected.path, expected.path[1:])
             )
             assert outcome.fork_choices == forks
-            leaf = plan._root
+            leaf = plan.compiled().root
             for fork in forks:
                 leaf = leaf.children[fork]
             leaf = leaf.leaf
@@ -184,6 +158,12 @@ class TestCompiledWalk:
             assert leaf.full_spec.fingerprint() == expected.full_spec().fingerprint()
             assert outcome.offloaded == expected.offloads
             assert outcome.accuracy == env.accuracy.evaluate(expected.full_spec())
+            walk = compose_from_tree(tree, lambda block: next(ours))
+            assert all(a is b for a, b in zip(walk.path, expected.path))
+            assert len(walk.path) == len(expected.path)
+            assert walk.measured_bandwidths == expected.measured_bandwidths
+            assert walk.full_spec().fingerprint() == leaf.full_spec.fingerprint()
+            assert walk.offloads == expected.offloads
 
     def test_fork_past_the_last_child_takes_the_last(self, small_spec):
         root = make_split_tree(small_spec, split=2).root

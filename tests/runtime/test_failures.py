@@ -193,7 +193,7 @@ class TestTreePlanFallback:
     def test_session_fallback_rate_reflects_outages(self):
         tree = make_split_tree(vgg11())
         env = make_env(outages=[(0.0, 5_000.0)])
-        session = InferenceSession(tree, env, seed=0, verify=False)
+        session = InferenceSession(tree, env, seed=0)
         for i in range(10):
             session.infer(at_ms=float(i) * 2_000.0)
         stats = session.stats()

@@ -77,7 +77,7 @@ class TestEmulatorBoundary:
         plan = _AlwaysFaultingPlan()
         with get_registry().scoped() as perf:
             with pytest.raises(CloudUnreachableError):
-                run_emulation(plan, env, num_requests=3, seed=0, admit=False)
+                run_emulation(plan, env, num_requests=3, seed=0)
             # One original fault absorbed; the degraded-retry fault
             # propagated without being booked as a second absorption.
             assert perf.counter("emulator.faults_absorbed") == 1
@@ -88,7 +88,7 @@ class TestEmulatorBoundary:
 
         plan = _FaultOncePlan(TreePlan(tree))
         with get_registry().scoped() as perf:
-            result = run_emulation(plan, env, num_requests=3, seed=0, admit=False)
+            result = run_emulation(plan, env, num_requests=3, seed=0)
             assert perf.counter("emulator.faults_absorbed") == 1
         assert result.swallowed_faults == {"CloudUnreachableError": 1}
         assert len(result) == 3
@@ -175,7 +175,7 @@ class TestTraceSchema:
 
         plan = _FaultOncePlan(TreePlan(tree))
         with recording() as recorder:
-            run_emulation(plan, env, num_requests=2, seed=0, admit=False)
+            run_emulation(plan, env, num_requests=2, seed=0)
         assert _schema(recorder.records, "emulator") == self.GOLDEN
         event, faulted, _ = recorder.records
         assert event["span"] == faulted["span"]

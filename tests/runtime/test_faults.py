@@ -319,9 +319,7 @@ class TestEmulationFaultBoundary:
         from repro.runtime.emulator import run_emulation
 
         flaky = _FlakyPlan(self._plan(), faulty_indices=[1])
-        result = run_emulation(
-            flaky, make_env(), num_requests=4, seed=0, admit=False
-        )
+        result = run_emulation(flaky, make_env(), num_requests=4, seed=0)
         # Regression: a single faulted request used to abort the whole
         # emulation; now it is counted and re-run device-only.
         assert len(result.outcomes) == 4
@@ -337,14 +335,10 @@ class TestEmulationFaultBoundary:
                 raise ZeroDivisionError("a real bug")
 
         with pytest.raises(ZeroDivisionError):
-            run_emulation(
-                BuggyPlan(), make_env(), num_requests=2, seed=0, admit=False
-            )
+            run_emulation(BuggyPlan(), make_env(), num_requests=2, seed=0)
 
     def test_clean_run_reports_no_faults(self):
         from repro.runtime.emulator import run_emulation
 
-        result = run_emulation(
-            self._plan(), make_env(), num_requests=2, seed=0, admit=False
-        )
+        result = run_emulation(self._plan(), make_env(), num_requests=2, seed=0)
         assert result.swallowed_faults == {}

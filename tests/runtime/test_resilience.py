@@ -280,7 +280,6 @@ class TestSessionResilience:
             make_split_tree(vgg11()),
             env,
             seed=0,
-            verify=False,
             policy=policy,
             breaker=breaker,
         )

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.search.composer import SpecComposer
-from repro.search.compose import compose_from_tree
-from tests.conftest import make_context, make_split_tree
+from tests.conftest import make_context
 
 
 @pytest.fixture
@@ -84,17 +83,3 @@ class TestComposerIntegration:
         # A new bandwidth misses the result pool but hits the composer.
         context.evaluate(edge, cloud, 20.0)
         assert context.composer.stats.hits == 1
-
-    def test_compose_from_tree_reuses_edge_prefix(self, small_spec):
-        tree = make_split_tree(small_spec)
-        composer = SpecComposer()
-        first = compose_from_tree(tree, lambda block: 5.0, composer=composer)
-        second = compose_from_tree(tree, lambda block: 5.0, composer=composer)
-        assert second.edge_spec is first.edge_spec
-
-    def test_compose_from_tree_without_composer_unchanged(self, small_spec):
-        tree = make_split_tree(small_spec)
-        cached = compose_from_tree(tree, lambda block: 5.0, composer=SpecComposer())
-        legacy = compose_from_tree(tree, lambda block: 5.0)
-        assert legacy.edge_spec.fingerprint() == cached.edge_spec.fingerprint()
-        assert legacy.cloud_spec.fingerprint() == cached.cloud_spec.fingerprint()
