@@ -48,6 +48,7 @@ from ..model.spec import (
     ModelSpec,
     TensorShape,
     infer_output_shape,
+    tensor_shape_from_dict,
 )
 from ..model.treepath import CompiledTree, compile_tree
 from .diagnostics import Diagnostic, Severity
@@ -120,7 +121,7 @@ def _parse_spec(
         )
         return None
     try:
-        input_shape = TensorShape(**raw_shape)
+        input_shape = tensor_shape_from_dict(raw_shape)
     except (TypeError, ValueError):
         diagnostics.append(
             _diag(
@@ -507,6 +508,10 @@ def _view_from_dict(
         return None
     edge = _coerce_spec(raw_edge, f"{location} edge", diagnostics)
     cloud = _coerce_spec(raw_cloud, f"{location} cloud", diagnostics)
+    if (raw_edge is not None and edge is None) or (raw_cloud is not None and cloud is None):
+        # The format error stands for every path through this node:
+        # verifying them without the block would report phantom breaks.
+        return None
     children: List[_NodeView] = []
     for i, raw in enumerate(raw_children):
         child = _view_from_dict(raw, f"{location}>{i}", diagnostics)

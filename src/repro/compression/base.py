@@ -21,7 +21,7 @@ evaluator).
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,8 @@ class TechniqueRegistry:
 
     def __init__(self, techniques: Optional[Sequence[CompressionTechnique]] = None) -> None:
         self._techniques: Dict[str, CompressionTechnique] = {}
+        # applicability() results by (input shape, layers, names).
+        self._mask_cache: Dict[Tuple[object, ...], np.ndarray] = {}
         for technique in techniques or []:
             self.register(technique)
 
@@ -99,6 +101,7 @@ class TechniqueRegistry:
         if technique.name in self._techniques:
             raise ValueError(f"duplicate technique name: {technique.name}")
         self._techniques[technique.name] = technique
+        self._mask_cache.clear()
 
     def get(self, name: str) -> CompressionTechnique:
         try:
@@ -128,7 +131,18 @@ class TechniqueRegistry:
     def applicability(self, spec: ModelSpec, names: Sequence[str]) -> np.ndarray:
         """(layers, len(names)) bool: technique ``names[j]`` applies to layer
         ``i`` — :meth:`applicable` for every layer at once. A name not in
-        the registry applies nowhere."""
+        the registry applies nowhere.
+
+        The mask is computed once per spec content and names, and the
+        cached array is returned read-only. The key is the whole spec's
+        content (input shape and layers), not a layer's: a rule may read
+        neighbouring layers (a layer that is not the last, a GAP tail).
+        Edge slices are new spec objects, so the spec object itself would
+        almost never hit."""
+        key = (spec.input_shape, spec.layers, tuple(names))
+        cached = self._mask_cache.get(key)
+        if cached is not None:
+            return cached
         mask = np.zeros((len(spec), len(names)), dtype=bool)
         for j, name in enumerate(names):
             technique = self._techniques.get(name)
@@ -136,4 +150,6 @@ class TechniqueRegistry:
                 continue
             for i in range(len(spec)):
                 mask[i, j] = technique.applies_to(spec, i)
+        mask.flags.writeable = False
+        self._mask_cache[key] = mask
         return mask

@@ -23,10 +23,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from ..latency.devices import DeviceProfile
@@ -196,6 +197,22 @@ class TensorShape:
     def fingerprint_json(self) -> str:
         """``json.dumps(asdict(self), sort_keys=True)``, computed once."""
         return json.dumps(dataclasses.asdict(self), sort_keys=True)
+
+
+def tensor_shape_from_dict(data: Mapping[str, object]) -> TensorShape:
+    """``TensorShape(**data)`` for a deserialized shape, whose dimensions
+    must be integers.
+
+    Raises ``TypeError`` for a missing or unknown key or a dimension that
+    is not an integer. Checked here, at the dict boundary, rather than in
+    ``TensorShape`` itself, which shape inference builds many times.
+    """
+    shape = TensorShape(**data)  # type: ignore[arg-type]
+    for name in ("channels", "height", "width"):
+        value = getattr(shape, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"input_shape {name} must be an integer, got {value!r}")
+    return shape
 
 
 def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -490,7 +507,7 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ModelSpec":
-        shape = TensorShape(**data["input_shape"])  # type: ignore[arg-type]
+        shape = tensor_shape_from_dict(data["input_shape"])  # type: ignore[arg-type]
         layers = [LayerSpec.from_dict(d) for d in data["layers"]]  # type: ignore[union-attr]
         return cls(layers, shape, name=str(data.get("name", "model")))
 

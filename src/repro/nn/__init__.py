@@ -25,7 +25,7 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .optim import SGD, Adam, Optimizer
+from .optim import Adam
 from .rnn import BiLSTM, LSTM, LSTMCell
 from .tensor import Tensor, as_tensor, concatenate, stack
 from .zoo import BASE_MODELS, alexnet, get_model, tiny_cnn, vgg11, vgg19
@@ -50,9 +50,7 @@ __all__ = [
     "Module",
     "ReLU",
     "Sequential",
-    "SGD",
     "Adam",
-    "Optimizer",
     "BiLSTM",
     "LSTM",
     "LSTMCell",

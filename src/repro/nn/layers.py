@@ -91,7 +91,8 @@ class Module:
                     f"shape mismatch for {name}: "
                     f"{parameter.data.shape} vs {state[name].shape}"
                 )
-            parameter.data = state[name].copy()
+            # In place: an optimizer's parameters are views of its buffer.
+            parameter.data[...] = state[name]
 
     # -- call protocol ---------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:

@@ -119,14 +119,17 @@ def lstm_recurrence(
       ``(h_prev.swapaxes(-1, -2) @ dgates).transpose()``; stacking and
       batching change which arrays an operation sees, never the
       operation each element goes through;
-    - each parameter receives one ``_accumulate`` per step in the order
-      the tape's topological sweep delivers them: the ``W_hh`` terms
-      (including the all-zero one from the initial state) in ascending
-      time index in both directions, the ``bias`` terms in BPTT order,
-      the reverse of processing order, in both directions. The
-      projections come first in the node's parents, in direction order,
-      so a shared input receives the directions' gradients in the order
-      ``concatenate`` would deliver them.
+    - each parameter's per-step terms are summed in the order the tape's
+      topological sweep delivers them, after any gradient the parameter
+      already holds: the ``W_hh`` terms (including the all-zero one from
+      the initial state) in ascending time index in both directions, the
+      ``bias`` terms in BPTT order, the reverse of processing order, in
+      both directions. One :meth:`~repro.nn.tensor.Tensor._accumulate_in_order`
+      per parameter does that sum as a single left fold, the same bytes
+      as the tape's one ``_accumulate`` per step. The projections come
+      first in the node's parents, in direction order, so a shared input
+      receives the directions' gradients in the order ``concatenate``
+      would deliver them.
 
     Floating-point addition is not associative, so any other order
     drifts in the last bits and seeded searches would no longer replay.
@@ -209,14 +212,12 @@ def lstm_recurrence(
         else:
             w_terms = h_prev @ dgates
         b_terms = dgates.sum(axis=2)
-        backwards = range(t - 1, -1, -1)
         for j, r in enumerate(reverse):
             dp = dgates[:, j].swapaxes(0, 1)  # (N, T, 4*hidden) in processing order
             projected[j]._accumulate(np.ascontiguousarray(dp[:, ::-1] if r else dp))
-            for k in backwards if r else range(t):  # ascending time
-                weight_hh[j]._accumulate(w_terms[k, j].transpose())
-            for k in backwards:  # BPTT order
-                bias[j]._accumulate(b_terms[k, j])
+            ascending = w_terms[::-1, j] if r else w_terms[:, j]
+            weight_hh[j]._accumulate_in_order(ascending.swapaxes(-1, -2))
+            bias[j]._accumulate_in_order(b_terms[::-1, j])  # BPTT order
 
     return Tensor._make(out, (*projected, *weight_hh, *bias), backward)
 

@@ -139,6 +139,29 @@ class Tensor:
         else:
             self.grad = self.grad + grad
 
+    def _accumulate_in_order(self, terms: np.ndarray) -> None:
+        """Accumulate ``terms[0]``, ``terms[1]``, ... in that order, as one sum.
+
+        The same bytes as one :meth:`_accumulate` per term: the existing
+        gradient, if any, leads a left fold over the terms. That fold is a
+        single axis-0 ``sum`` whenever numpy runs the reduction row by
+        row, that is when a term holds more than one value and axis 0 is
+        the outermost in memory. Otherwise numpy would sum the run along
+        axis 0 pairwise, so the terms are added one by one.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is not None:
+            terms = np.concatenate([self.grad[None], terms])
+        strides = [abs(stride) for stride in terms.strides]
+        if terms[0].size > 1 and strides[0] >= max(strides[1:]):
+            self.grad = terms.sum(axis=0)
+            return
+        total = terms[0].astype(np.float64, copy=True)
+        for term in terms[1:]:
+            total = total + term
+        self.grad = total
+
     # ------------------------------------------------------------------
     # Backward pass
     # ------------------------------------------------------------------

@@ -32,9 +32,12 @@ from ..nn.init import xavier_uniform
 from ..nn.layers import Module
 from ..nn.rnn import BiLSTM
 from ..nn.tensor import ScalarView, Tensor, concatenate
-from .encoding import ENCODING_WIDTH, encode_model
+from .encoding import ENCODING_WIDTH, LayerEncoder
 
 NO_PARTITION = -1  # sentinel action: keep the whole block on the edge
+
+#: ``rng.choice``'s tolerance on ``sum(p) - 1``: sqrt(float64 eps), 2**-26.
+_CHOICE_ATOL = 2.0**-26
 
 
 class CategoricalHead:
@@ -83,6 +86,7 @@ class CategoricalHead:
         self.log_probs = log_probs
         # Renormalized so each row sums to 1 within rng.choice's tolerance.
         self.probs = probs / probs.sum(axis=-1, keepdims=True)  # flowcheck: ignore[div-guard] -- softmax probs sum to ~1; renormalizes fp error for rng.choice
+        self._cdf: Optional[np.ndarray] = None
         self.chosen = np.zeros(len(x), dtype=np.intp)
         chosen = self.chosen
 
@@ -106,9 +110,17 @@ class CategoricalHead:
         self.node = Tensor._make(values, (logits,), backward)
 
     def draw(self, row: int, rng: np.random.Generator) -> int:
-        """Sample row ``row``'s action: one ``rng.choice`` over its probs."""
-        probs = self.probs[row]
-        index = int(rng.choice(len(probs), p=probs))
+        """Sample row ``row``'s action from one ``rng.random()`` draw.
+
+        The same index and RNG state as ``rng.choice(C, p=probs[row])``:
+        that is numpy's own path for one weighted draw with replacement
+        (a cumulative sum normalized by its last entry, then
+        ``searchsorted(uniform, side="right")``). ``choice``'s checks on
+        ``p`` run once per head, over every row, at the first draw.
+        """
+        if self._cdf is None:
+            self._cdf = _checked_cdf(self.probs)
+        index = int(self._cdf[row].searchsorted(rng.random(), side="right"))
         self.force(row, index)
         return index
 
@@ -122,6 +134,22 @@ class CategoricalHead:
 
     def entropy(self, row: int) -> ScalarView:
         return ScalarView(self.node, (row, 1))
+
+
+def _checked_cdf(probs: np.ndarray) -> np.ndarray:
+    """Per-row normalized cumulative sums of ``probs``, after the checks
+    ``rng.choice`` makes on ``p``: non-negative, finite, summing to 1
+    within its tolerance."""
+    if (probs < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    totals = probs.sum(axis=-1)
+    if not np.isfinite(totals).all():
+        raise ValueError("probabilities are not finite")
+    if (np.abs(totals - 1.0) > _CHOICE_ATOL).any():
+        raise ValueError("probabilities do not sum to 1")
+    cdf = probs.cumsum(axis=-1)
+    cdf /= cdf[:, -1:]
+    return cdf
 
 
 class PartitionController(Module):
@@ -148,17 +176,14 @@ class PartitionController(Module):
         # samples — the same pathology the paper's fair-chance exploration
         # counters at tree level.
         self.bias = Tensor(np.array([0.0, 2.0]), requires_grad=True, name="partition.bias")
+        self.encoder = LayerEncoder()
 
     def logits_batch(
         self, spec: ModelSpec, bandwidths_mbps: Sequence[float]
     ) -> Tensor:
         """(N, L+1) logits: one row per requested bandwidth for one block."""
-        encoded = Tensor(
-            np.concatenate(
-                [encode_model(spec, bw) for bw in bandwidths_mbps], axis=0
-            )
-        )
         n = len(bandwidths_mbps)
+        encoded = Tensor(self.encoder.encode([spec] * n, bandwidths_mbps))
         hidden = self.backbone(encoded)  # (N, T, width)
         cut_scores = hidden.matmul(self.cut_head).reshape(n, -1) + self.bias[0]
         keep_score = hidden[:, -1, :].matmul(self.keep_head) + self.bias[1]
@@ -230,6 +255,7 @@ class CompressionController(Module):
         if "ID" in self.technique_names:
             bias[self.technique_names.index("ID")] = 2.0
         self.head_bias = Tensor(bias, requires_grad=True, name="compression.head_bias")
+        self.encoder = LayerEncoder()
 
     def _applicable_mask(self, spec: ModelSpec) -> np.ndarray:
         """(T, C): which techniques apply to which layer of ``spec``."""
@@ -285,12 +311,8 @@ class CompressionController(Module):
             if not rows:
                 continue  # nothing to sample: no backbone pass needed
             encoded = Tensor(
-                np.concatenate(
-                    [
-                        encode_model(specs[i], bandwidths_mbps[i])
-                        for i in indices
-                    ],
-                    axis=0,
+                self.encoder.encode(
+                    [specs[i] for i in indices], [bandwidths_mbps[i] for i in indices]
                 )
             )
             hidden = self.backbone(encoded)  # (n, T, width)

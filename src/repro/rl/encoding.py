@@ -9,7 +9,7 @@ all K contexts.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -41,8 +41,12 @@ def encode_layer(layer: LayerSpec, bandwidth_mbps: float) -> np.ndarray:
     vector[base + 5] = layer.expansion / 4.0
     vector[base + 6] = layer.squeeze_ratio
     vector[base + 7] = layer.sparsity
-    vector[base + 8] = np.log1p(max(bandwidth_mbps, 0.0)) / _LOG_MAX_BANDWIDTH
+    vector[base + 8] = _bandwidth_feature(bandwidth_mbps)
     return vector
+
+
+def _bandwidth_feature(bandwidth_mbps: float) -> float:
+    return np.log1p(max(bandwidth_mbps, 0.0)) / _LOG_MAX_BANDWIDTH
 
 
 def encode_model(spec_or_layers, bandwidth_mbps: float) -> np.ndarray:
@@ -56,3 +60,43 @@ def encode_model(spec_or_layers, bandwidth_mbps: float) -> np.ndarray:
         raise ValueError("cannot encode an empty layer sequence")
     encoded = np.stack([encode_layer(layer, bandwidth_mbps) for layer in layers])
     return encoded[None, :, :]
+
+
+class LayerEncoder:
+    """:func:`encode_model` for batches, with each layer's row computed once.
+
+    A :class:`LayerSpec` is frozen, so its encoding never changes except
+    for the bandwidth column. The encoder keeps each distinct layer's row
+    (keyed by the layer's content, :attr:`LayerSpec.fingerprint_json`),
+    read-only and with a zero bandwidth column, and per call only copies
+    the rows into a fresh array and writes the bandwidth column. Each
+    controller owns one, so the cache lives as long as its controller.
+    """
+
+    def __init__(self) -> None:
+        self._rows: Dict[str, np.ndarray] = {}
+
+    def row(self, layer: LayerSpec) -> np.ndarray:
+        """``encode_layer(layer, 0.0)``, cached and read-only."""
+        key = layer.fingerprint_json
+        row = self._rows.get(key)
+        if row is None:
+            row = encode_layer(layer, 0.0)
+            row.flags.writeable = False
+            self._rows[key] = row
+        return row
+
+    def encode(
+        self, specs: Sequence[ModelSpec], bandwidths_mbps: Sequence[float]
+    ) -> np.ndarray:
+        """(N, T, F): request ``i`` is ``encode_model(specs[i], bandwidths_mbps[i])[0]``.
+
+        The specs must have equal, non-zero length.
+        """
+        if not all(len(spec) for spec in specs):
+            raise ValueError("cannot encode an empty layer sequence")
+        encoded = np.array([[self.row(layer) for layer in spec.layers] for spec in specs])
+        encoded[..., -1] = np.array(
+            [_bandwidth_feature(bw) for bw in bandwidths_mbps]
+        )[:, None]
+        return encoded

@@ -54,6 +54,14 @@ def _swapped_forks(data):
     data["root"]["children"] = data["root"]["children"][::-1]
 
 
+def _root_edge_kernel_string(data):
+    data["root"]["edge_spec"]["layers"][0]["kernel_size"] = "x"
+
+
+def _base_channels_string(data):
+    data["base"]["input_shape"]["channels"] = "a"
+
+
 #: Corruptions of the trained tree's dict, as the analysis tests make them.
 DICT_CORRUPTIONS = {
     "format-v99": _format_v99,
@@ -63,6 +71,8 @@ DICT_CORRUPTIONS = {
     "dropped-child": _dropped_child,
     "swapped-forks": _swapped_forks,
     "tampered-edge-channels": tamper_last_shape_layer,
+    "root-edge-kernel-string": _root_edge_kernel_string,
+    "base-channels-string": _base_channels_string,
 }
 
 

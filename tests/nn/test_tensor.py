@@ -5,8 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.tensor import Tensor, as_tensor, concatenate, ones, stack, zeros
+from tests.optim_reference import accumulate_chain
 
 
 def numeric_grad(f, x: Tensor, index, eps: float = 1e-6) -> float:
@@ -314,3 +317,46 @@ class TestTapeRelease:
         loss.backward()
         np.testing.assert_array_equal(a.grad, first)
         np.testing.assert_allclose(first, [2.0, 4.0])
+
+
+@st.composite
+def ordered_terms(draw):
+    shape = draw(st.sampled_from([(), (1,), (3,), (2, 3), (4, 1), (1, 1), (3, 2, 2)]))
+    count = draw(st.integers(1, 12))
+    layout = draw(st.sampled_from(["plain", "reversed", "transposed", "axis0-inner"]))
+    return shape, count, layout, draw(st.booleans()), draw(st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordered_terms())
+def test_accumulate_in_order_matches_per_term_chain(case):
+    """One ordered sum leaves the bytes of one ``_accumulate`` per term:
+    with and without a prior gradient, forward and reversed, for 0-d,
+    transposed and axis-0-innermost term arrays."""
+    shape, count, layout, has_prior, seed = case
+    rng = np.random.default_rng(seed)
+
+    def values(dims):
+        return rng.standard_normal(dims) * 10.0 ** rng.integers(-8, 8, size=dims)
+
+    terms = values((count,) + shape)
+    if layout == "reversed":
+        terms = terms[::-1]
+    elif layout == "transposed":
+        terms = values((count,) + shape[::-1])
+        terms = terms.transpose((0,) + tuple(range(terms.ndim - 1, 0, -1)))
+    elif layout == "axis0-inner":
+        terms = np.moveaxis(values(shape + (count,)), -1, 0)
+    prior = values(shape) if has_prior else None
+    tensor = Tensor(np.zeros(shape), requires_grad=True)
+    tensor.grad = None if prior is None else prior.copy()
+    tensor._accumulate_in_order(terms)
+    expected = accumulate_chain(prior, list(terms))
+    assert tensor.grad.shape == expected.shape
+    assert tensor.grad.tobytes() == expected.tobytes()
+
+
+def test_accumulate_in_order_skips_constants():
+    constant = Tensor(np.zeros(3))
+    constant._accumulate_in_order(np.ones((2, 3)))
+    assert constant.grad is None

@@ -139,3 +139,26 @@ class TestPolicyCheckpoints:
         logits_a = policy.partition_controller.logits_batch(spec, [10.0]).data
         logits_b = clone.partition_controller.logits_batch(spec, [10.0]).data
         np.testing.assert_allclose(logits_a, logits_b)
+
+    def test_loaded_policy_trains_through_existing_trainers(self, trained, tmp_path):
+        """Loading writes into the parameters in place, so the trainers the
+        policy built beforehand keep training the loaded values: one update
+        moves them exactly as it moves a policy built from those values."""
+        context, _ = trained
+        path = tmp_path / "policy.npz"
+        save_policy(RLPolicy(context.registry, seed=2), path)
+        loaded = load_policy(RLPolicy(context.registry, seed=77), path)
+        reference = RLPolicy(context.registry, seed=2)
+        block = context.base.slice(0, 6)
+        modules = (loaded.partition_controller, loaded.compression_controller)
+        saved = [[p.data.copy() for p in module.parameters()] for module in modules]
+        for policy in (loaded, reference):
+            rng = np.random.default_rng(0)
+            [(_, partition)] = policy.sample_partition_batch(block, [10.0], rng)
+            [(_, compression)] = policy.sample_compression_batch([block], [10.0], rng)
+            policy.update_episode([([partition, compression], 1.0)])
+        references = (reference.partition_controller, reference.compression_controller)
+        for module, other, before in zip(modules, references, saved):
+            for p, q, values in zip(module.parameters(), other.parameters(), before):
+                assert not np.array_equal(p.data, values), p.name
+                assert p.data.tobytes() == q.data.tobytes(), p.name
