@@ -21,7 +21,7 @@ upper quartile and the lower quartile of the bandwidth to represent the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,18 +39,24 @@ class TraceStats:
 
 
 class BandwidthTrace:
-    """A sampled bandwidth time series with constant sample spacing."""
+    """A sampled bandwidth time series with constant sample spacing.
+
+    The samples are a read-only copy of the caller's: validation and the
+    :meth:`window_mean` memo stay true however the input is reused.
+    """
 
     def __init__(self, samples_mbps: Sequence[float], interval_s: float) -> None:
-        samples = np.asarray(samples_mbps, dtype=float)
+        samples = np.array(samples_mbps, dtype=float)
         if samples.ndim != 1 or len(samples) == 0:
             raise ValueError("trace needs a non-empty 1-D sample array")
         if np.any(samples <= 0):
             raise ValueError("bandwidth samples must be positive")
         if interval_s <= 0:
             raise ValueError("interval must be positive")
+        samples.flags.writeable = False
         self.samples = samples
         self.interval_s = interval_s
+        self._window_means: Dict[Tuple[int, int], float] = {}
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -66,11 +72,20 @@ class BandwidthTrace:
         return float(self.samples[index])
 
     def window_mean(self, t_s: float, window_s: float) -> float:
-        """Mean bandwidth over [t, t+window) — a coarse estimator's view."""
+        """Mean bandwidth over [t, t+window) — a coarse estimator's view.
+
+        Memoized per (first sample, sample count): a replay asks for the
+        same few windows over and over.
+        """
+        n = len(self.samples)
         start = int(t_s / self.interval_s)
         count = max(1, int(round(window_s / self.interval_s)))
-        index = (start + np.arange(count)) % len(self.samples)
-        return float(self.samples[index].mean())
+        key = (start % n, count)
+        mean = self._window_means.get(key)
+        if mean is None:
+            index = (key[0] + np.arange(count)) % n
+            mean = self._window_means[key] = float(self.samples[index].mean())
+        return mean
 
     def stats(self) -> TraceStats:
         q1, q3 = np.percentile(self.samples, [25, 75])

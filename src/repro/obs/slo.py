@@ -39,6 +39,7 @@ constructing an :class:`~repro.runtime.session.InferenceSession` with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -110,6 +111,22 @@ class AlertEvent:
     RESOLVED = "resolved"
 
 
+class _WindowTotals:
+    """Running (requests, violations) sums of one burn-rate window.
+
+    The window is ``[lo, end)`` with ``end`` the newest bucket's end,
+    the span :meth:`WindowedCounter.window_sum` answers.
+    """
+
+    __slots__ = ("duration_ms", "lo", "requests", "violations")
+
+    def __init__(self, duration_ms: float) -> None:
+        self.duration_ms = duration_ms
+        self.lo = 0.0
+        self.requests = 0.0
+        self.violations = 0.0
+
+
 class BurnRateEvaluator:
     """Streams request outcomes into windowed burn-rate alerting.
 
@@ -117,6 +134,14 @@ class BurnRateEvaluator:
     windowed request/violation counters, runs the alert state machine,
     emits ``slo.alert`` trace events on transitions, and accumulates the
     typed :class:`AlertEvent` history in :attr:`alerts`.
+
+    Each observation costs O(1) in history: the evaluator keeps running
+    (requests, violations) totals for the fast and slow windows. They
+    are recounted from :meth:`WindowedCounter.window_sum` only when a
+    counter's newest bucket advances; otherwise the observation is added
+    to each window whose span admits its bucket. The counts are
+    integer-valued floats, so the totals equal the recount exactly and
+    the burn rates come out the same bytes.
     """
 
     def __init__(self, policy: SLOPolicy) -> None:
@@ -132,6 +157,13 @@ class BurnRateEvaluator:
         self.violation_total = 0
         self.alerts: List[AlertEvent] = []
         self.state = "ok"
+        #: Burn rates of the fast and slow windows at the last observation.
+        self.burn_fast = 0.0
+        self.burn_slow = 0.0
+        self._windows = (
+            _WindowTotals(float(policy.fast_window_ms)),
+            _WindowTotals(float(policy.slow_window_ms)),
+        )
 
     @property
     def firing(self) -> bool:
@@ -174,20 +206,54 @@ class BurnRateEvaluator:
 
         ``t_ms`` is the request's *simulated* completion time. Returns
         the :class:`AlertEvent` if this observation transitioned the
-        alert state, else ``None``.
+        alert state, else ``None``. A non-finite ``latency_ms`` raises
+        ``ValueError``: NaN compares false against the objective and
+        would count as meeting it.
         """
-        violated = float(latency_ms) > self.policy.objective_ms
-        self.requests.add(1.0, t_ms=t_ms)
+        latency = float(latency_ms)
+        if not math.isfinite(latency):
+            raise ValueError(f"latency_ms must be finite, got {latency_ms!r}")
+        violated = latency > self.policy.objective_ms
+        requests, violations = self.requests, self.violations
+        ends = (requests.end_ms(), violations.end_ms())
+        kept = requests.add(1.0, t_ms=t_ms)
         self.total += 1
+        kept_violation = False
         if violated:
-            self.violations.add(1.0, t_ms=t_ms)
+            kept_violation = violations.add(1.0, t_ms=t_ms)
             self.violation_total += 1
+        end = requests.end_ms()
+        if ends != (end, violations.end_ms()):
+            self._recount(end)
+        elif kept or kept_violation:
+            # Each ring drops what falls below its own floor, so the two
+            # counts are admitted separately.
+            start = requests.bucket_index(t_ms) * requests.bucket_ms
+            for window in self._windows:
+                if window.lo <= start < end:
+                    if kept:
+                        window.requests += 1.0
+                    if kept_violation:
+                        window.violations += 1.0
         return self._evaluate(t_ms)
 
+    def _recount(self, end: float) -> None:
+        """Re-derive every window total from the counters, ending at ``end``."""
+        for window in self._windows:
+            window.lo = end - window.duration_ms
+            window.requests = self.requests.window_sum(window.duration_ms, end)
+            window.violations = self.violations.window_sum(window.duration_ms, end)
+
+    def _burn(self, window: _WindowTotals) -> float:
+        fraction = 0.0
+        if window.requests > 0:
+            fraction = window.violations / window.requests
+        return fraction / self.policy.error_budget
+
     def _evaluate(self, t_ms: float) -> Optional[AlertEvent]:
-        end = self.requests.end_ms()
-        burn_fast = self.burn_rate(self.policy.fast_window_ms, end)
-        burn_slow = self.burn_rate(self.policy.slow_window_ms, end)
+        fast, slow = self._windows
+        burn_fast = self.burn_fast = self._burn(fast)
+        burn_slow = self.burn_slow = self._burn(slow)
         threshold = self.policy.burn_threshold
         event: Optional[AlertEvent] = None
         if self.state != AlertEvent.FIRING:
@@ -228,12 +294,11 @@ class BurnRateEvaluator:
     # -- export ------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:
         """Current alert/budget state, for ``SessionStats`` and reports."""
-        end = self.requests.end_ms()
         return {
             "state": self.state,
             "alerts": len(self.alerts),
-            "burn_fast": self.burn_rate(self.policy.fast_window_ms, end),
-            "burn_slow": self.burn_rate(self.policy.slow_window_ms, end),
+            "burn_fast": self.burn_fast,
+            "burn_slow": self.burn_slow,
             "budget_consumed": self.budget_consumed,
             "objective_ms": self.policy.objective_ms,
             "target": self.policy.target,

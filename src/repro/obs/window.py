@@ -26,8 +26,12 @@ scene merge bucket-by-bucket (:func:`merge_window_sections`) into the
 same ring a serial run would have produced.
 
 Slabs are bounded (``max_buckets``): once the newest bucket advances
-past the ring capacity, the oldest slabs are evicted. Eviction depends
-only on the data's own timestamps, so it too is deterministic.
+past the ring capacity, the oldest slabs are evicted. Anything that
+lands below the ring's floor afterwards — a late ``add``/``record``, or
+an older ring's slabs folded in by ``merge`` — is dropped rather than
+bringing an evicted bucket back. A ring therefore holds exactly the
+buckets of its data within ``max_buckets`` of the newest one, whatever
+order that data arrived or merged in, and eviction is deterministic.
 """
 
 from __future__ import annotations
@@ -90,18 +94,28 @@ class WindowedHistogram:
         return int(t_ms // self.bucket_ms)  # flowcheck: ignore[div-guard] -- bucket_ms validated > 0 in __init__
 
     def record(self, value: float, *, t_ms: float) -> None:
-        """Fold ``value`` into the slab covering simulated time ``t_ms``."""
+        """Fold ``value`` into the slab covering simulated time ``t_ms``.
+
+        A value below the ring's floor (its bucket already evicted) is
+        dropped.
+        """
         index = self.bucket_index(t_ms)
+        if index > self._max_index:
+            self._max_index = index
+            self._evict()
+        elif index <= self._max_index - self.max_buckets:  # below _floor()
+            return
         slab = self.slabs.get(index)
         if slab is None:
             slab = self.slabs[index] = HistogramStat(self.bounds)
         slab.record(value)
-        if index > self._max_index:
-            self._max_index = index
-            self._evict()
+
+    def _floor(self) -> int:
+        """Lowest bucket index the ring retains."""
+        return self._max_index - self.max_buckets + 1
 
     def _evict(self) -> None:
-        floor = self._max_index - self.max_buckets + 1
+        floor = self._floor()
         if floor <= 0:
             return
         for index in [i for i in self.slabs if i < floor]:
@@ -146,7 +160,11 @@ class WindowedHistogram:
         return out
 
     def merge(self, other: "WindowedHistogram") -> "WindowedHistogram":
-        """Fold ``other``'s slabs into this ring, bucket-by-bucket."""
+        """Fold ``other``'s slabs into this ring, bucket-by-bucket.
+
+        Slabs below the merged ring's floor are dropped, so merge order
+        cannot change which buckets survive.
+        """
         if (
             other.bucket_ms != self.bucket_ms
             or other.bounds != self.bounds
@@ -155,14 +173,17 @@ class WindowedHistogram:
                 "cannot merge windowed histograms with different bucket "
                 "layout"
             )
+        if other._max_index > self._max_index:
+            self._max_index = other._max_index
+            self._evict()
+        floor = self._floor()
         for index in sorted(other.slabs):
+            if index < floor:
+                continue
             slab = self.slabs.get(index)
             if slab is None:
                 slab = self.slabs[index] = HistogramStat(self.bounds)
             slab.merge(other.slabs[index])
-        if other._max_index > self._max_index:
-            self._max_index = other._max_index
-            self._evict()
         return self
 
     # -- serialization -----------------------------------------------------
@@ -240,15 +261,27 @@ class WindowedCounter:
             raise ValueError(f"t_ms must be >= 0, got {t_ms!r}")
         return int(t_ms // self.bucket_ms)  # flowcheck: ignore[div-guard] -- bucket_ms validated > 0 in __init__
 
-    def add(self, by: float = 1.0, *, t_ms: float) -> None:
+    def add(self, by: float = 1.0, *, t_ms: float) -> bool:
+        """Accumulate ``by`` into the bucket covering ``t_ms``.
+
+        Returns whether the ring kept it: a value below the ring's floor
+        (its bucket already evicted) is dropped.
+        """
         index = self.bucket_index(t_ms)
-        self.buckets[index] = self.buckets.get(index, 0.0) + float(by)
         if index > self._max_index:
             self._max_index = index
             self._evict()
+        elif index <= self._max_index - self.max_buckets:  # below _floor()
+            return False
+        self.buckets[index] = self.buckets.get(index, 0.0) + float(by)
+        return True
+
+    def _floor(self) -> int:
+        """Lowest bucket index the ring retains."""
+        return self._max_index - self.max_buckets + 1
 
     def _evict(self) -> None:
-        floor = self._max_index - self.max_buckets + 1
+        floor = self._floor()
         if floor <= 0:
             return
         for index in [i for i in self.buckets if i < floor]:
@@ -293,15 +326,18 @@ class WindowedCounter:
         return self.window_sum(duration, end_ms) / (duration / 1e3)
 
     def merge(self, other: "WindowedCounter") -> "WindowedCounter":
+        """Fold ``other``'s buckets in; those below the floor are dropped."""
         if other.bucket_ms != self.bucket_ms:
             raise ValueError(
                 "cannot merge windowed counters with different bucket_ms"
             )
-        for index, value in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0.0) + value
         if other._max_index > self._max_index:
             self._max_index = other._max_index
             self._evict()
+        floor = self._floor()
+        for index, value in other.buckets.items():
+            if index >= floor:
+                self.buckets[index] = self.buckets.get(index, 0.0) + value
         return self
 
     def state(self) -> Dict[str, Any]:

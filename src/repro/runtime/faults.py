@@ -41,8 +41,8 @@ for ``start_ms <= t < end_ms``, and a zero-length window is a no-op.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..contracts import require_non_negative, require_unit_interval
 from ..network.channel import LossyChannel
@@ -158,9 +158,16 @@ class FaultSchedule:
     Overlapping events compose the way independent faults would: latency
     multipliers and slowdowns multiply, loss probabilities combine as
     independent failure chances (``1 - prod(1 - p)``).
+
+    The events of each kind are grouped once, in schedule order (which
+    fixes the order multipliers compose in), so a lookup scans only its
+    own kind.
     """
 
     events: Tuple[FaultEvent, ...] = ()
+    _by_kind: Dict[type, Tuple[FaultEvent, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for event in self.events:
@@ -168,13 +175,20 @@ class FaultSchedule:
                 raise TypeError(
                     f"fault schedule entries must be FaultEvents, got {event!r}"
                 )
+        kinds = (CloudOutage, CloudBrownout, BandwidthCollapse, TransferLoss, ProbeBlackout)
+        object.__setattr__(
+            self,
+            "_by_kind",
+            {kind: tuple(e for e in self.events if isinstance(e, kind)) for kind in kinds},
+        )
 
     def _active(self, kind: type, t_ms: float):
-        return (e for e in self.events if isinstance(e, kind) and e.active(t_ms))
+        """Events of ``kind`` active at ``t_ms``; callers validated ``t_ms``."""
+        return [e for e in self._by_kind[kind] if e.start_ms <= t_ms < e.end_ms]
 
     def outage_at(self, t_ms: float) -> bool:
         require_non_negative(t_ms, "t_ms")
-        return any(True for _ in self._active(CloudOutage, t_ms))
+        return bool(self._active(CloudOutage, t_ms))
 
     def brownout_multiplier_at(self, t_ms: float) -> float:
         require_non_negative(t_ms, "t_ms")
@@ -199,7 +213,7 @@ class FaultSchedule:
 
     def probe_blackout_at(self, t_ms: float) -> bool:
         require_non_negative(t_ms, "t_ms")
-        return any(True for _ in self._active(ProbeBlackout, t_ms))
+        return bool(self._active(ProbeBlackout, t_ms))
 
     def install(self, env: "RuntimeEnvironment") -> "RuntimeEnvironment":
         """A copy of ``env`` with this schedule's faults wired in.

@@ -17,6 +17,14 @@ def model():
     )
 
 
+def _direct_window_mean(trace, t_s, window_s):
+    """``window_mean`` without its memo: one numpy expression per query."""
+    start = int(t_s / trace.interval_s)
+    count = max(1, int(round(window_s / trace.interval_s)))
+    index = (start + np.arange(count)) % len(trace.samples)
+    return float(trace.samples[index].mean())
+
+
 class TestBandwidthTrace:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -42,6 +50,50 @@ class TestBandwidthTrace:
     def test_window_mean(self):
         trace = BandwidthTrace([2.0, 4.0, 6.0, 8.0], 1.0)
         assert trace.window_mean(0.0, 2.0) == pytest.approx(3.0)
+
+    def test_window_mean_matches_direct_expression_for_every_start(self):
+        """The memo returns what the uncached numpy expression returns, for
+        every start (wrap-around included), before and after a hit."""
+        rng = np.random.default_rng(3)
+        trace = BandwidthTrace(rng.uniform(0.5, 20.0, size=17), 0.1)
+        n = len(trace.samples)
+        queries = [
+            (start * 0.1 + 0.01, window_s)
+            for start in range(3 * n)  # past the end: the trace wraps
+            for window_s in (0.05, 0.1, 0.3, 1.0, 2.5)
+        ]
+        for _ in range(2):
+            for t_s, window_s in queries:
+                assert trace.window_mean(t_s, window_s) == _direct_window_mean(
+                    trace, t_s, window_s
+                )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        length=st.integers(1, 40),
+        interval_s=st.sampled_from([0.1, 0.25, 1.0, 0.07]),
+        queries=st.lists(
+            st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 12.0)), max_size=30
+        ),
+    )
+    def test_window_mean_property(self, length, interval_s, queries):
+        trace = BandwidthTrace(np.linspace(1.0, 9.0, length) ** 1.5, interval_s)
+        for t_s, window_s in queries + queries:
+            assert trace.window_mean(t_s, window_s) == _direct_window_mean(
+                trace, t_s, window_s
+            )
+
+    def test_samples_are_a_read_only_copy(self):
+        samples = np.full(10, 5.0)
+        trace = BandwidthTrace(samples, 0.1)
+        assert trace.window_mean(0.0, 1.0) == 5.0
+        samples[:] = 50.0  # the caller reuses its buffer
+        samples[3] = -1.0  # ...even with values validation would refuse
+        assert trace.at(0.0) == 5.0
+        assert trace.window_mean(0.0, 1.0) == 5.0
+        assert trace.window_mean(0.2, 0.5) == 5.0
+        with pytest.raises(ValueError):
+            trace.samples[0] = 50.0
 
     def test_stats_quartiles(self):
         trace = BandwidthTrace(np.arange(1.0, 101.0), 0.1)

@@ -166,7 +166,7 @@ class TestWindowedCounter:
         stored bucket would: out-of-order times, non-integer widths,
         evicted buckets, and stale buckets folded in by ``merge``."""
         counter = WindowedCounter(bucket_ms=bucket_ms, max_buckets=max_buckets)
-        for by, t in adds:  # arbitrary order: late adds land below the floor
+        for by, t in adds:  # arbitrary order: late adds below the floor drop
             counter.add(float(by), t_ms=t * bucket_ms)
         stale = WindowedCounter(bucket_ms=bucket_ms)
         for t in merged:
@@ -182,6 +182,83 @@ class TestWindowedCounter:
             if lo <= index * bucket_ms < hi
         )
         assert counter.window_sum(duration_ms, end_ms) == scanned
+
+
+def _ring_of(kind, max_buckets, points):
+    """A ring of ``kind`` fed ``(value, t_ms)`` points in the given order."""
+    if kind == "counter":
+        ring = WindowedCounter(bucket_ms=1000.0, max_buckets=max_buckets)
+        for value, t_ms in points:
+            ring.add(float(value), t_ms=t_ms)
+    else:
+        ring = WindowedHistogram(bucket_ms=1000.0, max_buckets=max_buckets)
+        for value, t_ms in points:
+            ring.record(float(value), t_ms=t_ms)
+    return ring
+
+
+# Integer values and times spanning many ring widths: sums stay exact, so
+# any difference is which buckets survive, not float rounding.
+_POINTS = st.lists(
+    st.tuples(st.integers(0, 9), st.floats(0.0, 30_000.0)), max_size=40
+)
+
+
+class TestFloorDropsLateData:
+    @pytest.mark.parametrize("kind", ["counter", "histogram"])
+    def test_late_add_below_floor_is_dropped(self, kind):
+        ring = _ring_of(kind, 4, [(1, 9000.0), (1, 500.0)])
+        kept = ring.buckets if kind == "counter" else ring.slabs
+        assert sorted(kept) == [9]
+        state = ring.state()
+        assert type(ring).from_state(state).state() == state
+
+    def test_counter_add_reports_whether_it_kept_the_value(self):
+        ring = WindowedCounter(bucket_ms=1000.0, max_buckets=4)
+        assert ring.add(1.0, t_ms=9000.0)
+        assert ring.add(1.0, t_ms=6000.0)  # bucket 6 is the floor
+        assert not ring.add(1.0, t_ms=5999.0)
+        assert ring.total == 2.0
+
+    @pytest.mark.parametrize("kind", ["counter", "histogram"])
+    def test_merging_an_older_ring_keeps_evicted_buckets_out(self, kind):
+        a = _ring_of(kind, 4, [(1, 0.0), (1, 1000.0)]).state()
+        b = _ring_of(kind, 4, [(1, 9000.0)]).state()
+        assert merge_window_states([a, b]) == merge_window_states([b, a])
+        assert sorted(merge_window_states([b, a])["buckets"]) == ["9"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["counter", "histogram"]),
+        max_buckets=st.integers(1, 12),
+        parts=st.lists(_POINTS, min_size=2, max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_merge_order_does_not_change_the_result(
+        self, kind, max_buckets, parts, order
+    ):
+        states = [_ring_of(kind, max_buckets, points).state() for points in parts]
+        shuffled = list(states)
+        order.shuffle(shuffled)
+        assert merge_window_states(shuffled) == merge_window_states(states)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["counter", "histogram"]),
+        max_buckets=st.integers(1, 12),
+        points=_POINTS,
+        order=st.randoms(use_true_random=False),
+    )
+    def test_state_round_trip_exact_under_out_of_order_adds(
+        self, kind, max_buckets, points, order
+    ):
+        shuffled = list(points)
+        order.shuffle(shuffled)
+        ring = _ring_of(kind, max_buckets, shuffled)
+        state = ring.state()
+        assert type(ring).from_state(state).state() == state
+        # What survives depends only on the data, not its arrival order.
+        assert state == _ring_of(kind, max_buckets, sorted(points, key=lambda p: p[1])).state()
 
 
 class TestMergeStates:

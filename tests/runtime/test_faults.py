@@ -1,9 +1,12 @@
 """Fault-injection subsystem: schedules, lossy channels, env installation."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.accuracy import FixedAccuracy
 from repro.latency import CLOUD_SERVER, XIAOMI_MI_6X
@@ -21,6 +24,26 @@ from repro.runtime.faults import (
     ProbeBlackout,
     TransferLoss,
 )
+
+
+_KINDS = {
+    "outage": CloudOutage,
+    "brownout": CloudBrownout,
+    "collapse": BandwidthCollapse,
+    "loss": TransferLoss,
+    "blackout": ProbeBlackout,
+}
+
+
+def _param(kind, u):
+    """The kind's own parameter, drawn from ``u`` in [0, 1]."""
+    if kind == "brownout":
+        return {"latency_multiplier": 1.0 + 3.0 * u}
+    if kind == "collapse":
+        return {"slowdown": 1.0 + 7.0 * u}
+    if kind == "loss":
+        return {"loss_probability": u}
+    return {}
 
 
 def make_env(**overrides):
@@ -115,6 +138,76 @@ class TestFaultSchedule:
         assert schedule.brownout_multiplier_at(50.0) == pytest.approx(6.0)
         # Independent losses: 1 - (1 - .5)(1 - .5) = .75
         assert schedule.loss_probability_at(50.0) == pytest.approx(0.75)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(list(_KINDS)),
+                st.floats(0.0, 1_000.0),
+                st.floats(0.0, 600.0),
+                st.floats(0.0, 1.0),
+            ),
+            max_size=12,
+        ),
+        times=st.lists(st.floats(0.0, 1_700.0), min_size=1, max_size=20),
+    )
+    def test_lookups_match_full_scan(self, events, times):
+        """Per-kind lookups agree with a scan of every event, on random
+        overlapping schedules (products compose in schedule order)."""
+        schedule = FaultSchedule(
+            tuple(
+                _KINDS[kind](start, start + length, **_param(kind, u))
+                for kind, start, length, u in events
+            )
+        )
+        for t_ms in times + [e.start_ms for e in schedule.events]:
+            assert schedule.outage_at(t_ms) == any(
+                isinstance(e, CloudOutage) and e.active(t_ms) for e in schedule.events
+            )
+            assert schedule.probe_blackout_at(t_ms) == any(
+                isinstance(e, ProbeBlackout) and e.active(t_ms) for e in schedule.events
+            )
+            multiplier = slowdown = survival = 1.0
+            for e in schedule.events:
+                if not e.active(t_ms):
+                    continue
+                if isinstance(e, CloudBrownout):
+                    multiplier *= e.latency_multiplier
+                if isinstance(e, BandwidthCollapse):
+                    slowdown *= e.slowdown
+                if isinstance(e, TransferLoss):
+                    survival *= 1.0 - e.loss_probability
+            assert schedule.brownout_multiplier_at(t_ms) == multiplier
+            assert schedule.slowdown_at(t_ms) == slowdown
+            assert schedule.loss_probability_at(t_ms) == 1.0 - survival
+
+    def test_lookups_validate_time(self):
+        schedule = FaultSchedule((CloudOutage(0.0, 10.0),))
+        for lookup in (
+            schedule.outage_at,
+            schedule.brownout_multiplier_at,
+            schedule.slowdown_at,
+            schedule.loss_probability_at,
+            schedule.probe_blackout_at,
+        ):
+            with pytest.raises(ValueError, match="t_ms"):
+                lookup(-1.0)
+            with pytest.raises(ValueError, match="t_ms"):
+                lookup(float("nan"))
+
+    def test_equality_repr_and_pickle_see_only_events(self):
+        events = (CloudOutage(0.0, 10.0), TransferLoss(5.0, 20.0, loss_probability=0.3))
+        schedule = FaultSchedule(events)
+        assert schedule == FaultSchedule(events)
+        assert hash(schedule) == hash(FaultSchedule(events))
+        assert repr(schedule) == f"FaultSchedule(events={events!r})"
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone == schedule
+        assert clone.loss_probability_at(7.0) == schedule.loss_probability_at(7.0)
+        shorter = dataclasses.replace(schedule, events=events[:1])
+        assert shorter.loss_probability_at(7.0) == 0.0
+        assert shorter.outage_at(7.0)
 
     def test_non_event_entries_rejected(self):
         with pytest.raises(TypeError, match="FaultEvents"):
