@@ -2,7 +2,8 @@
 
 A from-scratch autodiff framework — tensors, conv/FC/pool/BN/LSTM layers,
 optimizers, a synthetic dataset and a model zoo — standing in for
-PyTorch/TensorFlow in this offline reproduction (DESIGN.md §2).
+PyTorch/TensorFlow in this offline reproduction (DESIGN.md §2). The RL
+controllers hold their weights here but run off the tape (``repro.rl.kernel``).
 """
 
 from . import functional

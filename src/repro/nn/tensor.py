@@ -13,7 +13,7 @@ dimensions (:func:`_unbroadcast`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -458,83 +458,6 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
             tensor._accumulate(slab)
 
     return Tensor._make(data, tensors, backward)
-
-
-class ScalarView(Tensor):
-    """One element of another tensor, readable and differentiable as a scalar.
-
-    A view is not a tape operation: it is built without :meth:`Tensor._make`
-    and holds its value plus ``(source, index)``. Used alone it behaves like
-    ``source[index]`` (its backward routes the gradient into that element);
-    :func:`weighted_sum` goes further and routes a whole loss's weights
-    into each source at once, so the views themselves never join the tape.
-    """
-
-    __slots__ = ("source", "index")
-
-    def __init__(self, source: Tensor, index: Tuple[int, ...]) -> None:
-        super().__init__(source.data[index])
-        self.source = source
-        self.index = index
-        if source.requires_grad:
-            self.requires_grad = True
-            self._parents = (source,)
-
-            def backward(grad: np.ndarray) -> None:
-                full = np.zeros(source.shape)
-                full[index] += grad
-                source._accumulate(full)
-
-            self._backward = backward
-
-
-def weighted_sum(terms: Sequence[Tuple[Tensor, float]]) -> Tensor:
-    """``sum(x * w for x, w in terms)`` over scalar tensors as one tape node.
-
-    The value is the left fold ``((x1*w1) + x2*w2) + ...`` that the same
-    sum spelt with ``*`` and ``+`` computes. A :class:`ScalarView` term
-    sends its weight straight into its source element, so many views of
-    one tensor cost one dense ``_accumulate`` into it; any other term
-    receives ``grad * w`` itself, once per occurrence in term order.
-
-    The parents are the distinct sources ordered by their *last*
-    occurrence in ``terms``. That is the order in which the ``*``/``+``
-    chain's backward reaches them: its depth-first sort enters the last
-    term first, so a subgraph shared by several terms is claimed by the
-    last of them and processed after every earlier term's. Leaves shared
-    by the sources' subgraphs (controller weights) therefore receive their
-    gradient terms in the chain's order, and floating-point sums of them
-    come out bit-identical.
-    """
-    value: Optional[np.ndarray] = None
-    sources: Dict[int, Tensor] = {}
-    routes: Dict[int, List[Tuple[Optional[Tuple[int, ...]], float]]] = {}
-    for x, weight in terms:
-        term = x.data * weight
-        value = term if value is None else value + term
-        source, index = (x.source, x.index) if isinstance(x, ScalarView) else (x, None)
-        key = id(source)
-        sources.pop(key, None)
-        sources[key] = source
-        routes.setdefault(key, []).append((index, weight))
-    if value is None:
-        raise ValueError("weighted_sum needs at least one term")
-    parents = tuple(sources.values())
-
-    def backward(grad: np.ndarray) -> None:
-        for source in parents:
-            full: Optional[np.ndarray] = None
-            for index, weight in routes[id(source)]:
-                if index is None:
-                    source._accumulate(_unbroadcast(grad * weight, source.shape))
-                    continue
-                if full is None:
-                    full = np.zeros(source.shape)
-                full[index] += weight
-            if full is not None:
-                source._accumulate(full * grad)
-
-    return Tensor._make(value, parents, backward)
 
 
 def zeros(shape: Tuple[int, ...], requires_grad: bool = False) -> Tensor:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .trace import get_recorder
-from .window import DEFAULT_BUCKET_MS, WindowedCounter
+from .window import DEFAULT_BUCKET_MS, DEFAULT_MAX_BUCKETS, WindowedCounter
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,11 @@ class SLOPolicy:
     common threshold the burn rate must exceed in *both* windows to fire.
     ``degrade_on_alert`` opts the serving path into edge-pinned degraded
     mode while the alert is firing (see :class:`BurnRateBreaker`).
+
+    The evaluator counts in rings of ``DEFAULT_MAX_BUCKETS`` buckets of
+    ``bucket_ms`` each, so ``slow_window_ms`` may be at most
+    ``bucket_ms * DEFAULT_MAX_BUCKETS`` (512 s with the default 1 s
+    buckets); a longer window would silently cover only the ring.
     """
 
     objective_ms: float
@@ -90,6 +95,11 @@ class SLOPolicy:
             )
         if not self.bucket_ms > 0:
             raise ValueError(f"bucket_ms must be > 0, got {self.bucket_ms!r}")
+        if self.slow_window_ms > self.bucket_ms * DEFAULT_MAX_BUCKETS:
+            raise ValueError(
+                f"slow_window_ms {self.slow_window_ms!r} exceeds the evaluator's "
+                f"{DEFAULT_MAX_BUCKETS} buckets of bucket_ms {self.bucket_ms!r}"
+            )
 
     @property
     def error_budget(self) -> float:

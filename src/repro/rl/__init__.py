@@ -1,4 +1,4 @@
-"""Reinforcement-learning machinery: controllers, REINFORCE, exploration."""
+"""RL machinery: controllers, their tape-free kernels, REINFORCE, exploration."""
 
 from .controller import (
     NO_PARTITION,

@@ -5,19 +5,21 @@
 ``b`` is "an exponential moving average of the previous rewards", the
 standard variance-reduction baseline. One :class:`ReinforceTrainer` per
 controller: it accumulates the episode's (log-prob, reward) pairs and
-applies a single gradient step per episode.
+applies a single gradient step per episode. Log-probs and entropies are
+the controllers' ``(pass, row)`` handles (:mod:`repro.rl.kernel`), so the
+loss's gradient is one dense gradient per pass, run through its backward.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.layers import Module
 from ..nn.optim import Adam
-from ..nn.tensor import Tensor, weighted_sum
 from ..obs.trace import get_recorder
+from .kernel import Pass
 
 
 class EMABaseline:
@@ -72,53 +74,41 @@ class ReinforceTrainer:
         #: plot the partition and compression controllers separately.
         self.name = name
 
-    def _loss_terms(
-        self,
-        log_probs: Sequence[Tensor],
-        entropies: Optional[Sequence[Tensor]],
-        advantage: float,
-    ) -> List[Tuple[Tensor, float]]:
-        """One episode's ``(tensor, weight)`` loss terms: every action's
-        ``log_prob * (-advantage)``, then (with ``entropy_coeff > 0``)
-        every entropy's ``entropy * (-entropy_coeff)``."""
-        terms = [(log_prob, -advantage) for log_prob in log_probs]
-        if entropies and self.entropy_coeff > 0.0:
-            terms.extend((entropy, -self.entropy_coeff) for entropy in entropies)
-        return terms
-
-    def _step(self, loss: Tensor) -> None:
-        self.optimizer.zero_grad()
-        loss.backward()
-        self.optimizer.clip_grad_norm(self.max_grad_norm)
-        self.optimizer.step()
-
-    def episode_loss(
+    def head_gradients(
         self,
         episodes: Sequence[Tuple],
         baseline_value: float,
-    ) -> Tuple[Optional[Tensor], List[float]]:
-        """Accumulated REINFORCE loss of many episodes under one baseline.
+    ) -> Tuple[List[Tuple[Pass, np.ndarray]], List[float]]:
+        """The REINFORCE loss of many episodes under one baseline, as one
+        dense ``(rows, 2)`` head gradient per controller pass.
 
-        Returns ``(loss, advantages)``: the loss is the sum of every
-        episode's per-action ``log_prob * (-advantage)`` terms (plus the
-        entropy bonus), so its gradient equals the **sum** of the per-episode
-        gradients with the baseline frozen at ``baseline_value`` — the
-        property the batched-update equivalence test pins. ``loss`` is
-        ``None`` when no episode carries a differentiable term.
-
-        The sum is one :func:`~repro.nn.tensor.weighted_sum` node: the
-        controllers' log-probs and entropies are views into one
-        categorical-head node per backbone pass, so the whole episode's
-        weights reach each head as one dense gradient. Its gradients are
-        bit-identical to the per-term ``*``/``+`` chain.
+        The loss sums every episode's ``log_prob * (-advantage)`` terms,
+        then (with ``entropy_coeff > 0``) its ``entropy * (-entropy_coeff)``
+        terms, so its gradient is the **sum** of the per-episode gradients
+        with the baseline frozen at ``baseline_value``. Returns
+        ``(gradients, advantages)``: ``(pass, gradient)`` pairs ordered by
+        each pass's last term, the order the tape's backward reached them
+        in, and one advantage per episode.
         """
-        terms: List[Tuple[Tensor, float]] = []
         advantages: List[float] = []
+        routes: Dict[Pass, List[Tuple[int, int, float]]] = {}
         for log_probs, reward, entropies in episodes:
             advantage = (reward - baseline_value) * self.reward_scale
             advantages.append(advantage)
-            terms.extend(self._loss_terms(log_probs, entropies, advantage))
-        return (weighted_sum(terms) if terms else None), advantages
+            terms = [(action, 0, -advantage) for action in log_probs]
+            if entropies and self.entropy_coeff > 0.0:
+                terms.extend((action, 1, -self.entropy_coeff) for action in entropies)
+            for (record, row), column, weight in terms:
+                route = routes.pop(record, [])
+                route.append((row, column, weight))
+                routes[record] = route
+        gradients = []
+        for record, route in routes.items():
+            grad = np.zeros((len(record.log_prob), 2))
+            for row, column, weight in route:
+                grad[row, column] += weight
+            gradients.append((record, grad))
+        return gradients, advantages
 
     def update_episode(self, episodes: Sequence[Tuple]) -> List[float]:
         """One Adam step for all of a search episode's node updates.
@@ -133,7 +123,8 @@ class ReinforceTrainer:
 
         The EMA baseline is snapshotted once at episode start, every
         node's advantage is computed against that snapshot, and one
-        accumulated loss drives one ``backward()`` and one optimizer step.
+        accumulated loss (:meth:`head_gradients`) drives one backward per
+        controller pass and one optimizer step.
         Rewards still fold into the EMA in arrival order. A one-episode
         batch is therefore the classic per-episode REINFORCE update.
         Returns the per-episode advantages used.
@@ -155,7 +146,7 @@ class ReinforceTrainer:
             if recorder.enabled:
                 advantage = (reward - baseline_value) * self.reward_scale
                 mean_entropy = (
-                    float(np.mean([np.mean(e.data) for e in entropies]))
+                    float(np.mean([record.entropy[row] for record, row in entropies]))
                     if entropies
                     else None
                 )
@@ -168,8 +159,12 @@ class ReinforceTrainer:
                     entropy=mean_entropy,
                     actions=len(log_probs),
                 )
-        loss, advantages = self.episode_loss(episodes, baseline_value)
-        if loss is not None:
-            self._step(loss)
+        gradients, advantages = self.head_gradients(episodes, baseline_value)
+        if gradients:
+            self.optimizer.zero_grad()
+            for record, grad in gradients:
+                record.backward(grad)
+            self.optimizer.clip_grad_norm(self.max_grad_norm)
+            self.optimizer.step()
         return advantages
 

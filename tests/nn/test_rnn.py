@@ -12,7 +12,7 @@ from repro.network.scenarios import get_scenario
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiLSTM, LSTM, LSTMCell
 from repro.nn.tensor import Tensor, concatenate, stack
-from tests import tape_heads
+from tests import controller_reference, tape_heads
 
 
 def tape_lstm_forward(self, x, reverse=False):
@@ -20,8 +20,9 @@ def tape_lstm_forward(self, x, reverse=False):
 
     This is the hoisted-projection loop ``LSTM.forward`` ran before the
     recurrence became one ``lstm_recurrence`` node, with its per-step
-    method inlined verbatim. ``LSTMCell.forward_step`` cannot serve as the
-    oracle: it projects ``x`` per step, which is not bit-exact.
+    method inlined verbatim. ``LSTMCell.forward_step`` (and so
+    ``LSTM.forward``) cannot serve as the oracle: it projects ``x`` per
+    step, which is not bit-exact.
     """
     n, t, _ = x.shape
     projected = x.matmul(self.cell.weight_ih.T)  # (N, T, 4*hidden)
@@ -114,8 +115,10 @@ class TestLSTM:
 class TestFusedRecurrence:
     """``lstm_recurrence`` against the per-step tape, bit for bit.
 
-    ``LSTM`` is its one-direction case, ``BiLSTM`` its stacked
-    two-direction case; each is pinned against its own tape oracle.
+    The fused node is the tape path the controllers ran before the episode
+    kernels (``tests/controller_reference.py``), the kernels' reference.
+    ``lstm_forward`` is its one-direction case, ``bilstm_forward`` its
+    stacked two-direction case; each is pinned against its own tape oracle.
     """
 
     @staticmethod
@@ -146,7 +149,7 @@ class TestFusedRecurrence:
     def test_outputs_and_gradients_equal_tape(self, seed, n, t, hidden, reverse, calls):
         args = (seed, n, t, hidden, reverse, calls)
         tape_out, tape_grads = self._run(tape_lstm_forward, *args)
-        fused_out, fused_grads = self._run(LSTM.forward, *args)
+        fused_out, fused_grads = self._run(controller_reference.lstm_forward, *args)
         for expected, actual in zip(tape_out, fused_out):
             assert np.array_equal(expected, actual)
         for expected, actual in zip(tape_grads, fused_grads):
@@ -184,7 +187,7 @@ class TestFusedRecurrence:
     def test_stacked_directions_equal_two_tapes(self, seed, n, t, hidden, calls, preset):
         args = (seed, n, t, hidden, calls, preset)
         tape_out, tape_grads = self._run_bilstm(tape_bilstm_forward, *args)
-        fused_out, fused_grads = self._run_bilstm(BiLSTM.forward, *args)
+        fused_out, fused_grads = self._run_bilstm(controller_reference.bilstm_forward, *args)
         assert len(fused_grads) == 7  # x and six parameters
         for expected, actual in zip(tape_out, fused_out):
             assert np.array_equal(expected, actual)
@@ -194,7 +197,7 @@ class TestFusedRecurrence:
     def test_single_node_per_bilstm_pass(self, rng):
         bilstm = BiLSTM(4, 6, rng=rng)
         x = Tensor(rng.normal(size=(2, 7, 4)))
-        out = bilstm(x)
+        out = controller_reference.bilstm_forward(bilstm, x)
         cells = (bilstm.forward_lstm.cell, bilstm.backward_lstm.cell)
         proj_f, proj_b, *recurrent = out._parents
         assert recurrent == [
@@ -207,13 +210,14 @@ class TestFusedRecurrence:
 
     def test_single_node_per_direction(self, rng):
         lstm = LSTM(4, 6, rng=rng)
-        out = lstm(Tensor(rng.normal(size=(2, 7, 4))))
+        out = controller_reference.lstm_forward(lstm, Tensor(rng.normal(size=(2, 7, 4))))
         projected, weight_hh, bias = out._parents
         assert weight_hh is lstm.cell.weight_hh and bias is lstm.cell.bias
         assert projected.shape == (2, 7, 24)
 
     def test_stepped_reference_within_tolerance(self, rng):
-        """``forward_step`` is the readable reference, close but not exact."""
+        """``forward_step`` (``LSTM.forward``'s step) is close to the fused
+        recurrence, not exact."""
         lstm = LSTM(4, 6, rng=rng)
         x = Tensor(rng.normal(size=(3, 5, 4)))
         for reverse in (False, True):
@@ -222,15 +226,16 @@ class TestFusedRecurrence:
             for step in range(4, -1, -1) if reverse else range(5):
                 state = lstm.cell.forward_step(x[:, step, :], state)
                 stepped[step] = state[0].data
-            fused = lstm(x, reverse=reverse).data
+            assert np.array_equal(lstm(x, reverse=reverse).data, np.stack(stepped, axis=1))
+            fused = controller_reference.lstm_forward(lstm, x, reverse=reverse).data
             np.testing.assert_allclose(fused, np.stack(stepped, axis=1), rtol=0, atol=1e-12)
 
     def test_search_trajectory_bytes_equal_tape(self, monkeypatch):
         """Every Adam step of a seeded scene sees byte-identical grads and
-        leaves byte-identical params, fused or stepped on the tape: the
-        oracle runs each BiLSTM direction step by step, joins them with
-        ``concatenate``, records the policy heads row by row and the
-        REINFORCE loss as a left-folded chain (``tests/tape_heads.py``)."""
+        leaves byte-identical params, on the episode kernels or stepped on
+        the tape: the oracle runs each BiLSTM direction step by step, joins
+        them with ``concatenate``, records the policy heads row by row and
+        the REINFORCE loss as a left-folded chain (``tests/tape_heads.py``)."""
         scene = get_scenario("vgg11", "phone", "4G (weak) indoor")
         config = ExperimentConfig(
             tree_episodes=2, branch_episodes=3, emulation_requests=10, seed=7
@@ -252,10 +257,10 @@ class TestFusedRecurrence:
                 digests.append(hashlib.sha256(b"".join(grads + params)).hexdigest())
 
             with monkeypatch.context() as patch:
-                patch.setattr(BiLSTM, "forward", forward)
-                patch.setattr(Adam, "step", recording_step)
                 if per_row_heads:
                     tape_heads.install(patch)
+                patch.setattr(BiLSTM, "forward", forward)
+                patch.setattr(Adam, "step", recording_step)
                 run_scenario(scene, config, run_field=False, run_emu=False)
             return digests
 

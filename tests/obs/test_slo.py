@@ -77,6 +77,18 @@ class TestSLOPolicy:
         with pytest.raises(ValueError, match="bucket_ms"):
             SLOPolicy(objective_ms=1.0, bucket_ms=-1.0)
 
+    def test_slow_window_must_fit_the_rings(self):
+        """Regression: a slow window longer than the evaluator's 512-bucket
+        rings was accepted and then silently covered only the ring (600
+        one-second observations left ``window_sum(600_000)`` at 512)."""
+        with pytest.raises(ValueError, match=r"600000\.0.*512.*1000\.0"):
+            SLOPolicy(objective_ms=1.0, slow_window_ms=600_000.0, bucket_ms=1_000.0)
+        policy = SLOPolicy(objective_ms=1.0, slow_window_ms=512_000.0, bucket_ms=1_000.0)
+        evaluator = BurnRateEvaluator(policy)
+        for i in range(600):
+            evaluator.observe(0.5, t_ms=i * 1_000.0)
+        assert evaluator.requests.window_sum(policy.slow_window_ms) == 512
+
 
 class TestBurnRateEvaluator:
     def test_quiet_stream_never_alerts(self):

@@ -17,6 +17,20 @@ from repro.rl.reinforce import EMABaseline, ReinforceTrainer
 from repro.search.policies import RLPolicy
 
 
+def value(action, column=0):
+    """A ``(pass, row)`` handle's log-prob (column 0) or entropy (1)."""
+    record, row = action
+    return (record.log_prob if column == 0 else record.entropy)[row]
+
+
+def accumulate(trainer, episodes, baseline_value):
+    """Add the episodes' REINFORCE gradient to the parameters' ``.grad``."""
+    gradients, advantages = trainer.head_gradients(episodes, baseline_value)
+    for record, grad in gradients:
+        record.backward(grad)
+    return advantages
+
+
 @pytest.fixture
 def registry():
     return default_registry()
@@ -68,18 +82,18 @@ class TestPartitionController:
         controller = PartitionController(hidden_size=8, seed=0)
         for cut, log_prob, _ in controller.sample_batch(small_spec, [10.0] * 20, rng):
             assert cut == NO_PARTITION or 0 <= cut < len(small_spec)
-            assert log_prob.data <= 0.0
+            assert value(log_prob) <= 0.0
 
     def test_forced_no_partition(self, small_spec, rng):
         controller = PartitionController(hidden_size=8, seed=0)
         cut, log_prob, _ = controller.sample_batch(small_spec, [10.0], rng, [True])[0]
         assert cut == NO_PARTITION
-        assert log_prob.data <= 0.0
+        assert value(log_prob) <= 0.0
 
     def test_log_prob_gradient_reaches_lstm(self, small_spec, rng):
         controller = PartitionController(hidden_size=8, seed=0)
         _, log_prob, _ = controller.sample_batch(small_spec, [10.0], rng)[0]
-        log_prob.backward()
+        accumulate(ReinforceTrainer(controller), [([log_prob], -1.0, [])], 0.0)
         grads = [p.grad for p in controller.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
@@ -172,7 +186,7 @@ class TestReinforce:
         target = 3
 
         def prob_of_target():
-            logits = controller.logits_batch(small_spec, [10.0]).data[0]
+            logits = controller.logits_batch(small_spec, [10.0])[0]
             probs = np.exp(logits - logits.max())
             return probs[target] / probs.sum()
 
@@ -236,7 +250,7 @@ class TestEntropyBonus:
         controller = PartitionController(hidden_size=8, seed=0)
         _, _, entropy = controller.sample_batch(small_spec, [10.0], rng)[0]
         assert entropy is not None
-        assert entropy.data > 0
+        assert value(entropy, 1) > 0
 
     def test_compression_entropies_match_sampled_layers(
         self, small_spec, registry, rng
@@ -262,7 +276,7 @@ class TestEntropyBonus:
                 )[0]
                 reward = 100.0 if cut == 3 else 0.0
                 trainer.update_episode([([log_prob], reward, [entropy])])
-            logits = controller.logits_batch(small_spec, [10.0]).data[0]
+            logits = controller.logits_batch(small_spec, [10.0])[0]
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             return float(-(probs * np.log(probs + 1e-12)).sum())
@@ -343,9 +357,9 @@ class TestBatchedSampling:
     def test_partition_logits_batch_matches_single(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
         bandwidths = [3.0, 10.0, 80.0]
-        batched = controller.logits_batch(small_spec, bandwidths).data
+        batched = controller.logits_batch(small_spec, bandwidths)
         for row, bw in enumerate(bandwidths):
-            single = controller.logits_batch(small_spec, [bw]).data[0]
+            single = controller.logits_batch(small_spec, [bw])[0]
             np.testing.assert_allclose(batched[row], single, rtol=1e-12)
 
     def test_partition_batch_matches_sequential_actions(self, small_spec):
@@ -361,7 +375,7 @@ class TestBatchedSampling:
             )[0]
             assert cut == expected_cut
             np.testing.assert_allclose(
-                log_prob.data, expected_lp.data, rtol=1e-12
+                value(log_prob), value(expected_lp), rtol=1e-12
             )
 
     def test_partition_forced_rows_consume_no_rng(self, small_spec):
@@ -401,7 +415,7 @@ class TestBatchedSampling:
             assert names == expected_names
             assert len(log_probs) == len(expected_lps)
             for got, want in zip(log_probs, expected_lps):
-                np.testing.assert_allclose(got.data, want.data, rtol=1e-12)
+                np.testing.assert_allclose(value(got), value(want), rtol=1e-12)
 
     def test_compression_batch_length_mismatch_rejected(self, small_spec, registry, rng):
         controller = CompressionController(registry, hidden_size=8, seed=0)
@@ -442,8 +456,8 @@ class TestBatchedEpisodeUpdate:
         """The property the one-step batched update rests on: with the
         baseline frozen, the accumulated episode loss's gradient equals
         the sum of the per-node loss gradients. (Episodes are re-sampled
-        from the same RNG seed for each measurement so every backward()
-        runs on a fresh graph; no optimizer step happens in between, so
+        from the same RNG seed for each measurement, because a backward
+        consumes its passes; no optimizer step happens in between, so
         the draws are identical.)"""
         if kind == "partition":
             controller = PartitionController(hidden_size=8, seed=0)
@@ -463,16 +477,14 @@ class TestBatchedEpisodeUpdate:
         # Sequential reference: one backward per node, gradients summed.
         expected: dict = {}
         for episode in make():
-            loss, _ = trainer.episode_loss([episode], baseline_value)
             trainer.optimizer.zero_grad()
-            loss.backward()
+            accumulate(trainer, [episode], baseline_value)
             for name, grad in self._grads(controller).items():
                 expected[name] = expected.get(name, 0.0) + grad
 
         # Batched: one accumulated loss, one backward.
-        loss, advantages = trainer.episode_loss(make(), baseline_value)
         trainer.optimizer.zero_grad()
-        loss.backward()
+        advantages = accumulate(trainer, make(), baseline_value)
         batched = self._grads(controller)
 
         assert advantages == pytest.approx(

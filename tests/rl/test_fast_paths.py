@@ -1,10 +1,11 @@
 """The controllers' sampling bookkeeping against its plain computation.
 
-``CategoricalHead.draw`` samples through a per-head cdf instead of one
-``rng.choice`` per row, the registry caches applicability masks and each
-controller caches layer encodings. All three must return exactly what the
-plain code returns (``tests/optim_reference.py`` keeps the
-``rng.choice`` draw), and a cached array must refuse writes.
+``draw_rows`` samples a pass's rows through their cdfs and one batch of
+uniforms instead of one ``rng.choice`` per row, the registry caches
+applicability masks and each controller caches layer encodings. All three
+must return exactly what the plain code returns
+(``tests/optim_reference.py`` keeps the ``rng.choice`` draw), and a
+cached array must refuse writes.
 """
 
 import numpy as np
@@ -14,10 +15,9 @@ from hypothesis import strategies as st
 
 from repro.compression import default_registry
 from repro.model.spec import ModelSpec
-from repro.nn.tensor import Tensor
 from repro.nn.zoo import alexnet, tiny_cnn, vgg11
-from repro.rl.controller import CategoricalHead, _checked_cdf
 from repro.rl.encoding import LayerEncoder, encode_model
+from repro.rl.kernel import categorical, checked_cdf, draw_rows
 from tests.optim_reference import choice_draw
 
 BASES = (vgg11(), alexnet(), tiny_cnn())
@@ -37,21 +37,23 @@ def head_cases(draw):
 @settings(max_examples=120, deadline=None)
 @given(head_cases())
 def test_draw_matches_rng_choice(case):
-    """Same indices and the same RNG state afterwards as ``rng.choice``,
-    rows drawn in any order, masked rows included."""
+    """Same indices and the same RNG state afterwards as one ``rng.choice``
+    per drawn row, rows drawn in any order, masked rows included."""
     rows, width, scale, masked, order, seed = case
     setup = np.random.default_rng(seed)
-    logits = Tensor(setup.standard_normal((rows, width)) * scale)
-    mask = None
+    logits = setup.standard_normal((rows, width)) * scale
     if masked:
         mask = setup.random((rows, width)) < 0.6
         mask[np.arange(rows), setup.integers(0, width, size=rows)] = True
-    head = CategoricalHead(logits, range(rows), mask)
+        logits = logits + np.where(mask, 0.0, -1e9)
+    probs = categorical(logits)[1]
+    drawn = list(order[: max(1, len(order) - 1)])
     fast = np.random.default_rng(seed + 1)
     plain = np.random.default_rng(seed + 1)
-    for row in order:
-        assert head.draw(row, fast) == choice_draw(head.probs[row], plain)
-        assert fast.bit_generator.state == plain.bit_generator.state
+    actions = draw_rows(probs, fast.random(len(drawn)), drawn)
+    renormalized = probs / probs.sum(axis=-1, keepdims=True)
+    assert actions.tolist() == [choice_draw(renormalized[row], plain) for row in drawn]
+    assert fast.bit_generator.state == plain.bit_generator.state
 
 
 @pytest.mark.parametrize(
@@ -67,7 +69,7 @@ def test_checked_cdf_rejects_what_choice_rejects(probs):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(2, p=probs[0])
     with pytest.raises(ValueError):
-        _checked_cdf(probs)
+        checked_cdf(probs)
 
 
 @st.composite

@@ -1,11 +1,13 @@
-"""The fused policy heads and REINFORCE loss against the per-row tape.
+"""The tape path's fused policy heads and loss against the per-row tape.
 
-Each backbone pass's categorical draws run as one ``CategoricalHead``
-node, and an episode's loss is one ``weighted_sum`` node. Both must
-reproduce the per-row oracle in ``tests/tape_heads.py`` bit for bit:
-the same actions from the same RNG stream, the same log-prob and entropy
-values, and ``np.array_equal`` gradients on the logits and every
-controller parameter.
+On the tape path the controllers ran before the episode kernels
+(``tests/controller_reference.py``), each backbone pass's categorical
+draws run as one ``CategoricalHead`` node, and an episode's loss is one
+``weighted_sum`` node. Both must reproduce the per-row oracle in
+``tests/tape_heads.py`` bit for bit: the same actions from the same RNG
+stream, the same log-prob and entropy values, and ``np.array_equal``
+gradients on the logits and every controller parameter. The kernels are
+pinned against that tape path in ``tests/rl/test_kernel_exact.py``.
 """
 
 import numpy as np
@@ -14,15 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import default_registry
-from repro.nn.tensor import ScalarView, Tensor, weighted_sum
+from repro.nn.tensor import Tensor
 from repro.nn.zoo import vgg11
-from repro.rl.controller import (
-    CategoricalHead,
-    CompressionController,
-    PartitionController,
-)
+from repro.rl.controller import CompressionController, PartitionController
 from repro.rl.reinforce import ReinforceTrainer
-from tests import tape_heads
+from tests import controller_reference, tape_heads
+from tests.controller_reference import CategoricalHead, ScalarView, weighted_sum
 
 BASE = vgg11()
 REGISTRY = default_registry()
@@ -93,18 +92,16 @@ def _run_partition(calls, seed, entropy_coeff, split_seed, reference):
     trainer = ReinforceTrainer(controller, reward_scale=0.01, entropy_coeff=entropy_coeff)
     rng = np.random.default_rng(seed)
     logits_seen = []
-    original = PartitionController.logits_batch
 
     def recording(self, spec, bandwidths):
-        out = original(self, spec, bandwidths)
+        out = controller_reference.logits_batch(self, spec, bandwidths)
         logits_seen.append(out)
         return out
 
     actions, tokens = [], []
     with pytest.MonkeyPatch.context() as patch:
+        (tape_heads if reference else controller_reference).install(patch)
         patch.setattr(PartitionController, "logits_batch", recording)
-        if reference:
-            tape_heads.install(patch)
         for spec, bandwidths, flags in calls:
             for cut, log_prob, entropy in controller.sample_batch(
                 spec, bandwidths, rng, flags
@@ -124,8 +121,7 @@ def _run_compression(calls, seed, entropy_coeff, split_seed, reference):
     rng = np.random.default_rng(seed)
     actions, tokens = [], []
     with pytest.MonkeyPatch.context() as patch:
-        if reference:
-            tape_heads.install(patch)
+        (tape_heads if reference else controller_reference).install(patch)
         for specs, bandwidths in calls:
             for names, log_probs, entropies in controller.sample_batch(
                 specs, bandwidths, rng
@@ -179,6 +175,10 @@ def test_compression_head_equals_per_row_tape(calls, seed, entropy_coeff, split_
 class TestNodeCount:
     """One head node per backbone pass and one loss node per update: the
     per-row log-probs and entropies are views, not tape nodes."""
+
+    @pytest.fixture(autouse=True)
+    def tape_path(self, monkeypatch):
+        controller_reference.install(monkeypatch)
 
     def test_one_head_node_per_partition_call(self):
         controller = PartitionController(hidden_size=8, seed=0)

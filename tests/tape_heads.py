@@ -4,8 +4,9 @@ Verbatim copies of the sampling and loss code that ran before each
 backbone pass's draws became one ``CategoricalHead`` node and the
 REINFORCE loss one ``weighted_sum`` node: a mask-add, ``log_softmax``,
 ``exp``, entropy and index node per sampled row, and a left-folded
-``log_prob * (-advantage)`` chain per episode. Tests swap these in to
-prove the fused path's actions, values and gradients bit-identical.
+``log_prob * (-advantage)`` chain per episode. They run on top of the
+tape path of ``tests/controller_reference.py`` and prove its heads, and
+so the kernels that replaced them, bit-identical.
 """
 
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -135,11 +136,13 @@ def episode_loss(
 
 
 def install(patch) -> None:
-    """Swap the per-row heads and the left-fold loss in via ``patch``
-    (a ``pytest.MonkeyPatch``)."""
+    """Swap the tape path in via ``patch`` (a ``pytest.MonkeyPatch``),
+    with per-row heads and the left-fold loss in place of its fused ones."""
     from repro.rl.controller import CompressionController, PartitionController
     from repro.rl.reinforce import ReinforceTrainer
+    from tests import controller_reference
 
+    controller_reference.install(patch)
     patch.setattr(PartitionController, "sample_batch", partition_sample_batch)
     patch.setattr(CompressionController, "sample_batch", compression_sample_batch)
     patch.setattr(ReinforceTrainer, "episode_loss", episode_loss)
