@@ -1,21 +1,22 @@
 """Recurrent layers: LSTM cell, unidirectional and bidirectional LSTMs.
 
 The paper's partition/compression controllers (Fig. 6) are bidirectional
-LSTMs over per-layer hyperparameter encodings. These modules hold the
-weights and run step by step on the autodiff
-:class:`~repro.nn.tensor.Tensor` tape; the controllers run their
-:class:`BiLSTM` through the tape-free kernel in :mod:`repro.rl.kernel`.
+LSTMs over per-layer hyperparameter encodings. :class:`LSTM` and
+:class:`BiLSTM` hold the weights; the controllers run them through the
+tape-free kernels in :mod:`repro.rl.kernel`. :meth:`LSTMCell.forward_step`
+is the readable per-step recurrence on the autodiff
+:class:`~repro.nn.tensor.Tensor` tape.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .init import xavier_uniform
 from .layers import Module
-from .tensor import Tensor, concatenate, stack, zeros
+from .tensor import Tensor, zeros
 
 
 class LSTMCell(Module):
@@ -74,7 +75,7 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Unidirectional LSTM over a (N, T, input_size) sequence."""
+    """Weights of a unidirectional LSTM over a (N, T, input_size) sequence."""
 
     def __init__(
         self,
@@ -86,16 +87,6 @@ class LSTM(Module):
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
 
-    def forward(self, x: Tensor, reverse: bool = False) -> Tensor:
-        """Return hidden states for every step, shape (N, T, hidden_size)."""
-        state = self.cell.initial_state(x.shape[0])
-        steps = range(x.shape[1])
-        outputs: List[Tensor] = []
-        for step in reversed(steps) if reverse else steps:
-            state = self.cell.forward_step(x[:, step, :], state)
-            outputs.append(state[0])
-        return stack(outputs[::-1] if reverse else outputs, axis=1)
-
 
 class BiLSTM(Module):
     """Bidirectional LSTM: concatenated forward/backward hidden states.
@@ -103,6 +94,7 @@ class BiLSTM(Module):
     This is the controller backbone from Fig. 6 of the paper: each DNN layer
     ``x_i`` is fed to a forward LSTM and a backward LSTM, and the per-step
     hidden states ``H_i = [h_fwd_i ; h_bwd_i]`` feed the softmax heads.
+    :func:`repro.rl.kernel.bilstm_forward` runs it.
     """
 
     def __init__(
@@ -117,9 +109,3 @@ class BiLSTM(Module):
         self.backward_lstm = LSTM(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.output_size = 2 * hidden_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        """(N, T, input_size) -> (N, T, 2*hidden_size)."""
-        return concatenate(
-            [self.forward_lstm(x), self.backward_lstm(x, reverse=True)], axis=2
-        )

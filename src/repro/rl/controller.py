@@ -75,21 +75,17 @@ class PartitionController(Module):
         self.bias = Tensor(np.array([0.0, 2.0]), requires_grad=True, name="partition.bias")
         self.encoder = LayerEncoder()
 
-    def _forward(
+    def logits_batch(
         self, spec: ModelSpec, bandwidths_mbps: Sequence[float]
     ) -> Tuple[np.ndarray, tuple]:
+        """(N, L+1) logits, one row per requested bandwidth for one block,
+        and the activations :meth:`backward_pass` needs."""
         n = len(bandwidths_mbps)
         encoded = self.encoder.encode([spec] * n, bandwidths_mbps)
         hidden, lstm = bilstm_forward(self.backbone, encoded)  # (N, T, width)
         cut_scores = (hidden @ self.cut_head.data).reshape(n, -1) + self.bias.data[0]
         keep_score = hidden[:, -1, :] @ self.keep_head.data + self.bias.data[1]
         return np.concatenate([cut_scores, keep_score], axis=1), (hidden, lstm)
-
-    def logits_batch(
-        self, spec: ModelSpec, bandwidths_mbps: Sequence[float]
-    ) -> np.ndarray:
-        """(N, L+1) logits: one row per requested bandwidth for one block."""
-        return self._forward(spec, bandwidths_mbps)[0]
 
     def sample_batch(
         self,
@@ -113,7 +109,7 @@ class PartitionController(Module):
         flags = list(force_flags) if force_flags is not None else [False] * n
         if len(flags) != n:
             raise ValueError("force_flags length must match bandwidths_mbps")
-        logits, backbone = self._forward(spec, bandwidths_mbps)
+        logits, backbone = self.logits_batch(spec, bandwidths_mbps)
         head = categorical(logits)
         length = len(spec)
         chosen = np.full(n, length, dtype=np.intp)

@@ -81,6 +81,24 @@ class TreeNode:
             yield from child.iter_nodes()
 
 
+def _collect_paths(
+    node: TreeNode, prefix: List[TreeNode], paths: List[List[TreeNode]]
+) -> None:
+    """Append every root-to-terminal path through ``node`` to ``paths``.
+
+    The tree walks here are module functions, not nested closures that
+    call themselves: such a closure is a reference cycle, which keeps
+    whatever it captures (a whole search context) alive until the cyclic
+    garbage collector next runs.
+    """
+    path = prefix + [node]
+    if node.is_terminal:
+        paths.append(path)
+        return
+    for child in node.children:
+        _collect_paths(child, path, paths)
+
+
 @dataclass
 class ModelTree:
     """A trained model tree plus the metadata runtime composition needs."""
@@ -93,16 +111,7 @@ class ModelTree:
     def branches(self) -> List[List[TreeNode]]:
         """All root-to-terminal paths."""
         paths: List[List[TreeNode]] = []
-
-        def walk(node: TreeNode, path: List[TreeNode]) -> None:
-            path = path + [node]
-            if node.is_terminal:
-                paths.append(path)
-                return
-            for child in node.children:
-                walk(child, path)
-
-        walk(self.root, [])
+        _collect_paths(self.root, [], paths)
         return paths
 
     def best_branch(self) -> Tuple[List[TreeNode], float]:
@@ -513,41 +522,54 @@ def build_grafted_tree(
             best_root = root_plan
             best_choice = choice
     assert best_root is not None
-
-    def make_node(
-        block_index: int,
-        fork_index: Optional[int],
-        plan: BranchPlan,
-        prefix: List[TreeNode],
-    ) -> TreeNode:
-        bandwidth = (
-            types[fork_index] if fork_index is not None else float(np.mean(types))
-        )
-        config = _block_config_from_plan(context, blocks, plan, block_index)
-        node = TreeNode(
-            block_index=block_index,
-            fork_index=fork_index,
-            bandwidth_mbps=bandwidth,
-            edge_spec=config.edge_spec,
-            cloud_spec=config.cloud_spec,
-            partitioned=config.partitioned,
-            grafted=True,
-        )
-        path = prefix + [node]
-        if config.partitioned or block_index == num_blocks - 1:
-            full_edge = _compose_prefix(path, context.composer)
-            node.result = context.evaluate(full_edge, config.cloud_spec, bandwidth)
-            node.reward = node.result.reward
-            return node
-        for k in range(len(types)):
-            node.children.append(make_node(block_index + 1, k, best_choice[k], path))
-        return node
-
-    root = make_node(0, None, best_root, [])
+    root = _grafted_node(
+        context, blocks, types, best_choice, num_blocks, 0, None, best_root, []
+    )
     _backward_estimate(root)
     return ModelTree(
         root=root, bandwidth_types=types, base=context.base, num_blocks=num_blocks
     )
+
+
+def _grafted_node(
+    context: SearchContext,
+    blocks: Sequence[BlockSpec],
+    types: Sequence[float],
+    best_choice: Dict[int, BranchPlan],
+    num_blocks: int,
+    block_index: int,
+    fork_index: Optional[int],
+    plan: BranchPlan,
+    prefix: List[TreeNode],
+) -> TreeNode:
+    """Build the grafted subtree of block ``block_index`` reached by fork
+    ``fork_index``: this block from ``plan``, each fork ``k`` below it from
+    ``best_choice[k]``."""
+    bandwidth = types[fork_index] if fork_index is not None else float(np.mean(types))
+    config = _block_config_from_plan(context, blocks, plan, block_index)
+    node = TreeNode(
+        block_index=block_index,
+        fork_index=fork_index,
+        bandwidth_mbps=bandwidth,
+        edge_spec=config.edge_spec,
+        cloud_spec=config.cloud_spec,
+        partitioned=config.partitioned,
+        grafted=True,
+    )
+    path = prefix + [node]
+    if config.partitioned or block_index == num_blocks - 1:
+        full_edge = _compose_prefix(path, context.composer)
+        node.result = context.evaluate(full_edge, config.cloud_spec, bandwidth)
+        node.reward = node.result.reward
+        return node
+    for k in range(len(types)):
+        node.children.append(
+            _grafted_node(
+                context, blocks, types, best_choice, num_blocks,
+                block_index + 1, k, best_choice[k], path,
+            )
+        )
+    return node
 
 
 def graft_path(
@@ -587,20 +609,21 @@ def graft_path(
 
 def _refresh_subtree_rewards(context: SearchContext, tree: ModelTree) -> None:
     """Re-evaluate every terminal against its (possibly changed) prefix."""
-    def walk(node: TreeNode, prefix: List[TreeNode]) -> None:
-        path = prefix + [node]
-        if node.is_terminal:
-            full_edge = _compose_prefix(path, context.composer)
-            node.result = context.evaluate(
-                full_edge, node.cloud_spec, node.bandwidth_mbps
-            )
-            node.reward = node.result.reward
-            return
-        for child in node.children:
-            walk(child, path)
-
-    walk(tree.root, [])
+    _refresh_terminals(context, tree.root, [])
     _backward_estimate(tree.root)
+
+
+def _refresh_terminals(
+    context: SearchContext, node: TreeNode, prefix: List[TreeNode]
+) -> None:
+    path = prefix + [node]
+    if node.is_terminal:
+        full_edge = _compose_prefix(path, context.composer)
+        node.result = context.evaluate(full_edge, node.cloud_spec, node.bandwidth_mbps)
+        node.reward = node.result.reward
+        return
+    for child in node.children:
+        _refresh_terminals(context, child, path)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ from repro.network.scenarios import get_scenario
 from repro.nn.optim import Adam
 from repro.nn.rnn import BiLSTM, LSTM, LSTMCell
 from repro.nn.tensor import Tensor, concatenate, stack
+from repro.rl.kernel import bilstm_backward, bilstm_forward
 from tests import controller_reference, tape_heads
+
+#: The one-direction tape recurrence the controllers ran before the kernels.
+lstm_forward = controller_reference.lstm_forward
 
 
 def tape_lstm_forward(self, x, reverse=False):
@@ -20,9 +24,8 @@ def tape_lstm_forward(self, x, reverse=False):
 
     This is the hoisted-projection loop ``LSTM.forward`` ran before the
     recurrence became one ``lstm_recurrence`` node, with its per-step
-    method inlined verbatim. ``LSTMCell.forward_step`` (and so
-    ``LSTM.forward``) cannot serve as the oracle: it projects ``x`` per
-    step, which is not bit-exact.
+    method inlined verbatim. ``LSTMCell.forward_step`` cannot serve as
+    the oracle: it projects ``x`` per step, which is not bit-exact.
     """
     n, t, _ = x.shape
     projected = x.matmul(self.cell.weight_ih.T)  # (N, T, 4*hidden)
@@ -86,29 +89,31 @@ class TestLSTMCell:
 
 
 class TestLSTM:
+    """An ``LSTM``'s weights run through the tape recurrence."""
+
     def test_sequence_output_shape(self, rng):
         lstm = LSTM(4, 6, rng=rng)
-        out = lstm(Tensor(rng.normal(size=(2, 5, 4))))
+        out = lstm_forward(lstm, Tensor(rng.normal(size=(2, 5, 4))))
         assert out.shape == (2, 5, 6)
 
     def test_reverse_processes_backwards(self, rng):
         lstm = LSTM(2, 3, rng=rng)
         x = rng.normal(size=(1, 4, 2))
-        fwd = lstm(Tensor(x))
-        rev = lstm(Tensor(x), reverse=True)
+        fwd = lstm_forward(lstm, Tensor(x))
+        rev = lstm_forward(lstm, Tensor(x), reverse=True)
         # Reversed run on reversed input equals forward outputs reversed.
-        rev_of_flipped = lstm(Tensor(x[:, ::-1].copy()))
+        rev_of_flipped = lstm_forward(lstm, Tensor(x[:, ::-1].copy()))
         np.testing.assert_allclose(rev.data, rev_of_flipped.data[:, ::-1], atol=1e-12)
         assert not np.allclose(fwd.data, rev.data)
 
     def test_first_reverse_step_sees_only_last_input(self, rng):
         lstm = LSTM(2, 3, rng=rng)
         x = rng.normal(size=(1, 4, 2))
-        rev = lstm(Tensor(x), reverse=True)
+        rev = lstm_forward(lstm, Tensor(x), reverse=True)
         # Output at the last position only depends on the last input.
         x2 = x.copy()
         x2[:, :3] = 0.0
-        rev2 = lstm(Tensor(x2), reverse=True)
+        rev2 = lstm_forward(lstm, Tensor(x2), reverse=True)
         np.testing.assert_allclose(rev.data[:, 3], rev2.data[:, 3], atol=1e-12)
 
 
@@ -216,8 +221,7 @@ class TestFusedRecurrence:
         assert projected.shape == (2, 7, 24)
 
     def test_stepped_reference_within_tolerance(self, rng):
-        """``forward_step`` (``LSTM.forward``'s step) is close to the fused
-        recurrence, not exact."""
+        """``forward_step`` is close to the fused recurrence, not exact."""
         lstm = LSTM(4, 6, rng=rng)
         x = Tensor(rng.normal(size=(3, 5, 4)))
         for reverse in (False, True):
@@ -226,7 +230,6 @@ class TestFusedRecurrence:
             for step in range(4, -1, -1) if reverse else range(5):
                 state = lstm.cell.forward_step(x[:, step, :], state)
                 stepped[step] = state[0].data
-            assert np.array_equal(lstm(x, reverse=reverse).data, np.stack(stepped, axis=1))
             fused = controller_reference.lstm_forward(lstm, x, reverse=reverse).data
             np.testing.assert_allclose(fused, np.stack(stepped, axis=1), rtol=0, atol=1e-12)
 
@@ -247,7 +250,7 @@ class TestFusedRecurrence:
             oracle_calls.append(x.shape)
             return tape_bilstm_forward(self, x)
 
-        def trajectory(forward, per_row_heads=False):
+        def trajectory(on_tape):
             digests = []
 
             def recording_step(self):
@@ -257,41 +260,43 @@ class TestFusedRecurrence:
                 digests.append(hashlib.sha256(b"".join(grads + params)).hexdigest())
 
             with monkeypatch.context() as patch:
-                if per_row_heads:
+                if on_tape:
                     tape_heads.install(patch)
-                patch.setattr(BiLSTM, "forward", forward)
+                    patch.setattr(BiLSTM, "forward", counted_oracle)
                 patch.setattr(Adam, "step", recording_step)
                 run_scenario(scene, config, run_field=False, run_emu=False)
             return digests
 
-        tape = trajectory(counted_oracle, per_row_heads=True)
+        tape = trajectory(on_tape=True)
         assert len(tape) > 10
         assert oracle_calls  # the oracle, not the fused node, ran
-        assert trajectory(BiLSTM.forward) == tape
+        assert trajectory(on_tape=False) == tape
 
 
 class TestBiLSTM:
+    """A ``BiLSTM``'s weights run through the episode kernel."""
+
     def test_output_concatenates_directions(self, rng):
         bilstm = BiLSTM(4, 5, rng=rng)
-        out = bilstm(Tensor(rng.normal(size=(2, 3, 4))))
+        out, _ = bilstm_forward(bilstm, rng.normal(size=(2, 3, 4)))
         assert out.shape == (2, 3, 10)
         assert bilstm.output_size == 10
 
     def test_each_position_sees_whole_sequence(self, rng):
         bilstm = BiLSTM(2, 4, rng=rng)
         x = rng.normal(size=(1, 5, 2))
-        base = bilstm(Tensor(x)).data
+        base, _ = bilstm_forward(bilstm, x)
         # Perturbing the last element must change position-0 output
         # (through the backward LSTM).
         x2 = x.copy()
         x2[0, -1] += 10.0
-        changed = bilstm(Tensor(x2)).data
+        changed, _ = bilstm_forward(bilstm, x2)
         assert not np.allclose(base[0, 0], changed[0, 0])
 
     def test_gradients_reach_both_directions(self, rng):
         bilstm = BiLSTM(3, 4, rng=rng)
-        x = Tensor(rng.normal(size=(1, 4, 3)), requires_grad=True)
-        (bilstm(x) ** 2).sum().backward()
-        assert bilstm.forward_lstm.cell.weight_ih.grad is not None
-        assert bilstm.backward_lstm.cell.weight_ih.grad is not None
-        assert x.grad is not None
+        out, activations = bilstm_forward(bilstm, rng.normal(size=(1, 4, 3)))
+        bilstm_backward(bilstm, activations, 2 * out)  # d sum(out**2)
+        for cell in (bilstm.forward_lstm.cell, bilstm.backward_lstm.cell):
+            for parameter in (cell.weight_ih, cell.weight_hh, cell.bias):
+                assert parameter.grad is not None and parameter.grad.any()

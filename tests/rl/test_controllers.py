@@ -75,7 +75,7 @@ class TestEncoding:
 class TestPartitionController:
     def test_logits_length(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
-        logits = controller.logits_batch(small_spec, [10.0])
+        logits, _ = controller.logits_batch(small_spec, [10.0])
         assert logits.shape == (1, len(small_spec) + 1)
 
     def test_sample_in_range(self, small_spec, rng):
@@ -186,7 +186,7 @@ class TestReinforce:
         target = 3
 
         def prob_of_target():
-            logits = controller.logits_batch(small_spec, [10.0])[0]
+            logits = controller.logits_batch(small_spec, [10.0])[0][0]
             probs = np.exp(logits - logits.max())
             return probs[target] / probs.sum()
 
@@ -276,7 +276,7 @@ class TestEntropyBonus:
                 )[0]
                 reward = 100.0 if cut == 3 else 0.0
                 trainer.update_episode([([log_prob], reward, [entropy])])
-            logits = controller.logits_batch(small_spec, [10.0])[0]
+            logits = controller.logits_batch(small_spec, [10.0])[0][0]
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
             return float(-(probs * np.log(probs + 1e-12)).sum())
@@ -357,9 +357,9 @@ class TestBatchedSampling:
     def test_partition_logits_batch_matches_single(self, small_spec):
         controller = PartitionController(hidden_size=8, seed=0)
         bandwidths = [3.0, 10.0, 80.0]
-        batched = controller.logits_batch(small_spec, bandwidths)
+        batched, _ = controller.logits_batch(small_spec, bandwidths)
         for row, bw in enumerate(bandwidths):
-            single = controller.logits_batch(small_spec, [bw])[0]
+            single = controller.logits_batch(small_spec, [bw])[0][0]
             np.testing.assert_allclose(batched[row], single, rtol=1e-12)
 
     def test_partition_batch_matches_sequential_actions(self, small_spec):

@@ -136,8 +136,8 @@ class TestPolicyCheckpoints:
         save_policy(policy, path)
         clone = load_policy(RLPolicy(context.registry, seed=77), path)
         spec = context.base
-        logits_a = policy.partition_controller.logits_batch(spec, [10.0])
-        logits_b = clone.partition_controller.logits_batch(spec, [10.0])
+        logits_a, _ = policy.partition_controller.logits_batch(spec, [10.0])
+        logits_b, _ = clone.partition_controller.logits_batch(spec, [10.0])
         np.testing.assert_allclose(logits_a, logits_b)
 
     def test_loaded_policy_trains_through_existing_trainers(self, trained, tmp_path):

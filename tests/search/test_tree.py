@@ -1,5 +1,8 @@
 """Tests for the model tree (Alg. 3), grafting, and composition (Alg. 2)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -110,6 +113,23 @@ class TestSearchGuarantees:
         result = model_tree_search(vgg_context, [5.0, 20.0], config=config)
         assert result.branch_results == {}
         assert result.tree.best_branch()[1] > 0
+
+    def test_search_is_freed_without_the_cycle_collector(self, vgg11_spec, quick_config):
+        """Nothing a search builds refers back to itself, so reference
+        counting alone frees its context and tree once the caller drops
+        them. A tree walk written as a closure that calls itself is a
+        cycle and would hold the whole context until the next gc run."""
+        gc.collect()
+        gc.disable()
+        try:
+            context = make_context(vgg11_spec)
+            result = model_tree_search(context, [5.0, 20.0], config=quick_config)
+            result.tree.branches()
+            refs = [weakref.ref(context), weakref.ref(result.tree)]
+            del context, result
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_empty_bandwidth_types_rejected(self, vgg_context, quick_config):
         with pytest.raises(ValueError):
